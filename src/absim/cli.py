@@ -13,6 +13,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .scenario import ScenarioConfig, ConfigError, config_hash, load_config
 from .sim import (METHODS, build_world, compare_methods, evaluate_policy, run_dir,
                   sweep_mu, train, write_centroids_csv,
@@ -127,7 +129,8 @@ def cmd_train(args) -> int:
     write_trajectory_csv(os.path.join(out, "trajectory.csv"), rep)
     export_qtables(os.path.join(out, "qtable.csv"), res.qtables, res.world.graph)
     write_timings_json(os.path.join(out, "timings.json"),
-                       {"condense_s": rep.condense_time_s, "rl_s": rep.rl_time_s})
+                       {"condense_s": rep.condense_time_s, "rl_s": rep.rl_time_s,
+                        "eval_s": rep.eval_time_s})
     write_report_json(os.path.join(out, "report.json"), rep)
     print(f"method={args.method} seed={cfg.seed} "
           f"outage: network={rep.eval_outage['network']:.4f} "
@@ -180,7 +183,6 @@ def cmd_compare(args) -> int:
     write_timings_json(os.path.join(out, "timings.json"), timings)
     write_summary_md(os.path.join(out, "summary.md"), reports)
     for m in METHODS:
-        import numpy as np
         net = np.mean([r.report.eval_outage["network"] for r in results[m]])
         print(f"{m}: mean network outage over {args.seeds} seed(s) = {net:.4f}")
     print(f"wrote {out}/outage.csv, learning_curves.csv, timings.json, summary.md")

@@ -10,6 +10,8 @@ channel, intra-cell users are orthogonal).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +44,36 @@ class LinkState:
     outage: np.ndarray       # (n_users,) bool, sinr below threshold
 
 
+class RadioConstants(NamedTuple):
+    """Scalars of the slot chain that depend on the configuration only."""
+
+    noise_w: float
+    gamma_lin: float
+    rb_offset_db: float     # 10 log10(n_rb), the power-control bandwidth term
+    p_max_w: float
+
+
+@lru_cache(maxsize=64)
+def _radio_constants(noise_dbm, gamma_th_db, n_rb, p_max_dbm) -> RadioConstants:
+    return RadioConstants(noise_w=float(dbm_to_watt(noise_dbm)),
+                          gamma_lin=float(db_to_linear(gamma_th_db)),
+                          rb_offset_db=10.0 * np.log10(n_rb),
+                          p_max_w=float(dbm_to_watt(p_max_dbm)))
+
+
+def radio_constants(cfg: ScenarioConfig) -> RadioConstants:
+    """Computed once per distinct value set, not once per slot."""
+    return _radio_constants(cfg.noise_dbm, cfg.gamma_th_db, cfg.n_rb, cfg.p_max_dbm)
+
+
+def _open_loop_dbm(pl: np.ndarray, cfg: ScenarioConfig, rb_offset_db) -> np.ndarray:
+    return np.minimum(cfg.p_max_dbm, cfg.p0_dbm + cfg.alpha_ol * pl + rb_offset_db)
+
+
 def tx_power_dbm(pl_serving_db, cfg: ScenarioConfig):
     """Open-loop power control, capped at p_max_dbm; vectorized."""
-    pl = np.asarray(pl_serving_db, dtype=float)
-    p = cfg.p0_dbm + cfg.alpha_ol * pl + 10.0 * np.log10(cfg.n_rb)
-    p = np.minimum(cfg.p_max_dbm, p)
+    p = _open_loop_dbm(np.asarray(pl_serving_db, dtype=float), cfg,
+                       radio_constants(cfg).rb_offset_db)
     if np.isscalar(pl_serving_db):
         return float(p)
     return p
@@ -81,13 +108,15 @@ def evaluate_slot(large_scale_db: np.ndarray, fading: np.ndarray,
     prev_assoc is last slot's association; None (first slot) falls back to
     the strongest large-scale link, fading excluded.
     """
-    n_users = large_scale_db.shape[0]
+    const = radio_constants(cfg)
+    n_users, n_uav = large_scale_db.shape
+    rows = np.arange(n_users)
     if prev_assoc is None:
         serving_prev = np.argmin(large_scale_db, axis=1)
     else:
         serving_prev = prev_assoc
-    pl_serving = large_scale_db[np.arange(n_users), serving_prev]
-    p_w = dbm_to_watt(tx_power_dbm(pl_serving, cfg))
+    p_w = dbm_to_watt(_open_loop_dbm(large_scale_db[rows, serving_prev], cfg,
+                                     const.rb_offset_db))
 
     gains = db_to_linear(-large_scale_db) * fading
     rx = p_w[:, None] * gains                      # (n_users, n_uav)
@@ -97,14 +126,11 @@ def evaluate_slot(large_scale_db: np.ndarray, fading: np.ndarray,
     # elsewhere; user-independent per ABS, so each user reads their column.
     # Masked sum, not colsum-minus-own: the subtraction leaves cancellation
     # residue that breaks the exact I = 0 case of an interference-free cell.
-    sig = rx[np.arange(n_users), assoc]
-    out_of_cell = assoc[:, None] != np.arange(rx.shape[1])[None, :]
-    interf_abs = np.where(out_of_cell, rx, 0.0).sum(axis=0)
-    interf = interf_abs[assoc]
+    sig = rx[rows, assoc]
+    out_of_cell = assoc[:, None] != np.arange(n_uav)
+    interf = np.where(out_of_cell, rx, 0.0).sum(axis=0)[assoc]
 
-    noise_w = float(dbm_to_watt(cfg.noise_dbm))
-    snr = sig / (noise_w + interf)
-    gamma_lin = float(db_to_linear(cfg.gamma_th_db))
+    snr = sig / (const.noise_w + interf)
     return LinkState(
         gains=gains,
         tx_power_w=p_w,
@@ -113,7 +139,7 @@ def evaluate_slot(large_scale_db: np.ndarray, fading: np.ndarray,
         interference_w=interf,
         sinr=snr,
         rate_bps=rate_bps(snr, cfg.bandwidth_hz),
-        outage=snr < gamma_lin,
+        outage=snr < const.gamma_lin,
     )
 
 
@@ -121,25 +147,39 @@ def evaluate_slot(large_scale_db: np.ndarray, fading: np.ndarray,
 class OutageStats:
     """Outage fractions of one slot (or averaged over many)."""
 
-    per_abs: np.ndarray   # (n_uav,) outage fraction among users served there
     network: float        # fraction over all users
     priority: float       # fraction among priority users
     regular: float        # fraction among non-priority users
+    counts: np.ndarray    # (2, 2, n_uav), see outage_counts
+
+    @property
+    def per_abs(self) -> np.ndarray:
+        """(n_uav,) outage fraction among users served there; 0 if none."""
+        served = self.counts.sum(axis=(0, 1))
+        return np.divide(self.counts[1].sum(axis=0), served,
+                         out=np.zeros(len(served)), where=served > 0)
+
+
+def outage_counts(assoc: np.ndarray, outage: np.ndarray, priority_mask: np.ndarray,
+                  n_uav: int) -> np.ndarray:
+    """(2, 2, n_uav) user counts by [clear, outage][regular, priority][ABS].
+
+    One bincount over an (outcome, class, ABS) key; outage_stats and the
+    per-UAV rewards both read this table.
+    """
+    key = assoc + n_uav * (priority_mask + 2 * outage)
+    return np.bincount(key, minlength=4 * n_uav).reshape(2, 2, n_uav)
 
 
 def outage_stats(state: LinkState, priority_mask: np.ndarray, n_uav: int) -> OutageStats:
-    """Class and per-ABS outage fractions; empty groups count as 0."""
-    out = state.outage
-    served = np.bincount(state.assoc, minlength=n_uav).astype(float)
-    out_per = np.bincount(state.assoc, weights=out, minlength=n_uav)
-    per_abs = np.divide(out_per, served, out=np.zeros(n_uav), where=served > 0)
-    n_pr = int(priority_mask.sum())
-    n_nr = int((~priority_mask).sum())
-    pr = float(out[priority_mask].sum() / n_pr) if n_pr else 0.0
-    nr = float(out[~priority_mask].sum() / n_nr) if n_nr else 0.0
+    """Class outage fractions; an empty class counts as 0."""
+    counts = outage_counts(state.assoc, state.outage, priority_mask, n_uav)
+    (nr_clear, pr_clear), (nr_out, pr_out) = counts.sum(axis=2).tolist()
+    n_pr = pr_clear + pr_out
+    n_nr = nr_clear + nr_out
     return OutageStats(
-        per_abs=per_abs,
-        network=float(out.mean()),
-        priority=pr,
-        regular=nr,
+        network=(nr_out + pr_out) / (n_pr + n_nr),
+        priority=pr_out / n_pr if n_pr else 0.0,
+        regular=nr_out / n_nr if n_nr else 0.0,
+        counts=counts,
     )

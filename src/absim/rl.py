@@ -13,7 +13,7 @@ Update rule per transition (s, a, r, s'):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -73,33 +73,18 @@ def select_action(q: QTable, s: int, eps: float, rng: np.random.Generator,
     return int(space.graph.neighbors[s][pos[int(np.argmax(vals))]])
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
-    """Outage penalty of one UAV for one slot. total is never positive."""
+def reward(counts: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """Per-UAV priority-weighted penalty on outage counts and class fractions.
 
-    pr_outage_count: int
-    nr_outage_count: int
-    pr_outage_fraction: float   # among served priority users; 0 if none
-    nr_outage_fraction: float
-    total: float
-
-
-def reward(n: int, assoc: np.ndarray, outage: np.ndarray,
-           priority_mask: np.ndarray, cfg: ScenarioConfig) -> RewardBreakdown:
-    """Priority-weighted penalty on outage counts and class fractions."""
-    served = assoc == n
-    pr = served & priority_mask
-    nr = served & ~priority_mask
-    n_pr = int(pr.sum())
-    n_nr = int(nr.sum())
-    pr_out = int(outage[pr].sum())
-    nr_out = int(outage[nr].sum())
-    pr_frac = pr_out / n_pr if n_pr else 0.0
-    nr_frac = nr_out / n_nr if n_nr else 0.0
-    total = -(cfg.mu_pr * (pr_out + pr_frac) + cfg.mu_nr * (nr_out + nr_frac))
-    return RewardBreakdown(pr_outage_count=pr_out, nr_outage_count=nr_out,
-                           pr_outage_fraction=pr_frac, nr_outage_fraction=nr_frac,
-                           total=total)
+    counts is radio.outage_counts' table, users by [clear, outage]
+    [regular, priority][ABS]. A fraction is over the class's users served by
+    that ABS, 0 if it serves none. Every total is non-positive.
+    """
+    served = counts[0] + counts[1]
+    out = counts[1]
+    frac = np.divide(out, served, out=np.zeros(served.shape), where=served > 0)
+    penalty = out + frac
+    return -(cfg.mu_pr * penalty[1] + cfg.mu_nr * penalty[0])
 
 
 def td_update(q: QTable, s: int, a: int, r: float, s_next: int,
@@ -140,7 +125,10 @@ def load_qtables(path, graph: CondensedGraph, n_uav: int) -> list:
             pos = int(np.searchsorted(graph.neighbors[s], a))
             if pos >= len(graph.neighbors[s]) or graph.neighbors[s][pos] != a:
                 raise ValueError(f"action {a} is not a neighbor of state {s}")
-            qtables[n].values[s][pos] = float(v_s)
+            value = float(v_s)
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite Q-value: {line.strip()}")
+            qtables[n].values[s][pos] = value
             seen[n][s][pos] = True
     for n in range(n_uav):
         for s in range(graph.n_centroids):

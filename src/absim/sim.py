@@ -23,7 +23,7 @@ import numpy as np
 from .scenario import (ScenarioConfig, config_hash, drop_users, generate_candidates,
                        rng_stream, user_arrays)
 from .channel import ChannelParams, link_matrix, sample_fading
-from .radio import LinkState, OutageStats, dbm_to_watt, evaluate_slot, outage_stats
+from .radio import LinkState, OutageStats, evaluate_slot, outage_stats, radio_constants
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
 from .rl import ActionSpace, QTable, reward, select_action, td_update
 
@@ -35,14 +35,21 @@ AUDIT_KEYS = ("waypoint_off_graph", "move_not_neighbor", "move_too_fast",
 
 @dataclass
 class World:
-    """Static scenario plus the condensed graph one run operates on."""
+    """Static scenario plus the condensed graph one run operates on.
+
+    Users never move and UAVs only ever sit on centroids, so the large-scale
+    loss of every link a slot can use, and the legality of every move, are
+    tables built once here; a slot only gathers from them.
+    """
 
     cfg: ScenarioConfig
     users_xy: np.ndarray
     priority_mask: np.ndarray
     graph: CondensedGraph
     space: ActionSpace
-    chan: ChannelParams
+    loss_db: np.ndarray       # (n_users, M) large-scale loss to every centroid
+    is_neighbor: np.ndarray   # (M, M) bool, graph adjacency incl. self-loops
+    move_ok: np.ndarray       # (M, M) bool, within one slot's flight or virtual
 
 
 def condense_graph(method: str, nodes: np.ndarray, users_xy: np.ndarray,
@@ -57,17 +64,37 @@ def condense_graph(method: str, nodes: np.ndarray, users_xy: np.ndarray,
     raise ValueError(f"unknown condensation method: {method!r}")
 
 
+def make_world(cfg: ScenarioConfig, users_xy: np.ndarray, priority_mask: np.ndarray,
+               graph: CondensedGraph) -> World:
+    """Precompute action sets, the loss table and the move-audit tables.
+
+    move_ok comes from raw centroid distances and the virtual edges, not
+    from the ActionSpace, so the audit stays an independent check.
+    """
+    m = graph.n_centroids
+    _, loss_db = link_matrix(graph.centroids, cfg.altitude_m, users_xy,
+                             ChannelParams.from_config(cfg))
+    is_neighbor = np.zeros((m, m), dtype=bool)
+    for s, nb in enumerate(graph.neighbors):
+        is_neighbor[s, nb] = True
+    dist = np.linalg.norm(graph.centroids[:, None, :] - graph.centroids[None, :, :], axis=2)
+    move_ok = dist <= cfg.move_radius_m() + 1e-9
+    for i, j, virt in graph.edges:
+        if virt:
+            move_ok[i, j] = move_ok[j, i] = True
+    return World(cfg=cfg, users_xy=users_xy, priority_mask=priority_mask, graph=graph,
+                 space=ActionSpace(graph, cfg), loss_db=loss_db,
+                 is_neighbor=is_neighbor, move_ok=move_ok)
+
+
 def build_world(cfg: ScenarioConfig, method: str) -> tuple[World, float]:
-    """Drop users, condense the candidate set, precompute action sets."""
+    """Drop users, condense the candidate set, precompute the world's tables."""
     users_xy, priority_mask = user_arrays(drop_users(cfg))
     nodes = generate_candidates(cfg).nodes
     t0 = time.perf_counter()
     graph = condense_graph(method, nodes, users_xy, priority_mask, cfg)
     condense_time = time.perf_counter() - t0
-    world = World(cfg=cfg, users_xy=users_xy, priority_mask=priority_mask,
-                  graph=graph, space=ActionSpace(graph, cfg),
-                  chan=ChannelParams.from_config(cfg))
-    return world, condense_time
+    return make_world(cfg, users_xy, priority_mask, graph), condense_time
 
 
 def start_states(world: World, rng_act: np.random.Generator) -> list[int]:
@@ -84,56 +111,47 @@ class SlotResult:
     states: list              # centroid index per UAV after the move
     link: LinkState
     stats: OutageStats
-    rewards: list             # RewardBreakdown per UAV
+    rewards: list             # penalty per UAV
 
 
 def run_slot(world: World, qtables: list, states: list,
-             prev_assoc: np.ndarray | None, eps: float,
-             rng_fading: np.random.Generator, rng_act: np.random.Generator,
-             learn: bool, audit: dict) -> SlotResult:
-    """Advance one slot: move, channel, radio, rewards, TD backups."""
-    cfg = world.cfg
-    graph = world.graph
+             prev_assoc: np.ndarray | None, eps: float, fading: np.ndarray,
+             rng_act: np.random.Generator, learn: bool, audit: dict) -> SlotResult:
+    """Advance one slot: move, radio at the new positions, rewards, TD backups.
 
+    fading is this slot's (n_users, n_uav) draw.
+    """
+    cfg = world.cfg
     actions = [select_action(qtables[n], states[n], eps, rng_act, world.space)
                for n in range(cfg.n_uav)]
     _audit_moves(world, states, actions, audit)
-    new_states = actions
 
-    uav_xy = graph.centroids[new_states]
-    fading = sample_fading(rng_fading, (cfg.n_users, cfg.n_uav))
-    _, loss_db = link_matrix(uav_xy, cfg.altitude_m, world.users_xy, world.chan)
-    link = evaluate_slot(loss_db, fading, prev_assoc, cfg)
-    if link.tx_power_w.max() > dbm_to_watt(cfg.p_max_dbm) * (1.0 + 1e-12):
+    link = evaluate_slot(world.loss_db[:, actions], fading, prev_assoc, cfg)
+    if link.tx_power_w.max() > radio_constants(cfg).p_max_w * (1.0 + 1e-12):
         audit["power_above_cap"] += 1
 
     stats = outage_stats(link, world.priority_mask, cfg.n_uav)
-    rewards = [reward(n, link.assoc, link.outage, world.priority_mask, cfg)
-               for n in range(cfg.n_uav)]
+    rewards = reward(stats.counts, cfg).tolist()
     if learn:
         for n in range(cfg.n_uav):
-            td_update(qtables[n], states[n], actions[n], rewards[n].total,
-                      new_states[n], cfg, world.space)
-    return SlotResult(states=new_states, link=link, stats=stats, rewards=rewards)
+            td_update(qtables[n], states[n], actions[n], rewards[n], actions[n],
+                      cfg, world.space)
+    return SlotResult(states=actions, link=link, stats=stats, rewards=rewards)
 
 
 def _audit_moves(world: World, states: list, actions: list, audit: dict) -> None:
     """Count violations of the waypoint / adjacency / speed / altitude caps."""
     cfg = world.cfg
-    graph = world.graph
-    radius = cfg.move_radius_m()
-    virt = {(i, j) for i, j, v in graph.edges if v}
     if not (cfg.alt_min_m <= cfg.altitude_m <= cfg.alt_max_m):
         audit["altitude_out_of_band"] += 1
+    m = len(world.move_ok)
     for s, a in zip(states, actions):
-        if not 0 <= a < graph.n_centroids:
+        if not 0 <= a < m:
             audit["waypoint_off_graph"] += 1
             continue
-        if a not in graph.neighbors[s]:
+        if not world.is_neighbor[s, a]:
             audit["move_not_neighbor"] += 1
-        d = float(np.linalg.norm(graph.centroids[a] - graph.centroids[s]))
-        pair = (min(s, a), max(s, a))
-        if d > radius + 1e-9 and pair not in virt:
+        if not world.move_ok[s, a]:
             audit["move_too_fast"] += 1
 
 
@@ -158,14 +176,17 @@ def run_episode(world: World, qtables: list, eps: float,
     prev_assoc = None
     slot_rewards = []
     out_net, out_pr, out_nr, rates = [], [], [], []
-    for _ in range(cfg.slots_per_episode):
+    fading = sample_fading(rng_fading, (cfg.slots_per_episode, cfg.n_users, cfg.n_uav))
+    for fading_t in fading:
         res = run_slot(world, qtables, states, prev_assoc, eps,
-                       rng_fading, rng_act, learn, audit)
+                       fading_t, rng_act, learn, audit)
         states = res.states
         prev_assoc = res.link.assoc
         for n, s in enumerate(states):
             traj[n].append(s)
-        slot_rewards.append(sum(r.total for r in res.rewards))
+        # built-in sum from int 0, left to right: np.sum would keep an
+        # all -0.0 slot at -0.0 and change the report's bytes
+        slot_rewards.append(sum(res.rewards))
         out_net.append(res.stats.network)
         out_pr.append(res.stats.priority)
         out_nr.append(res.stats.regular)
@@ -204,6 +225,7 @@ class RunReport:
     audit: dict
     condense_time_s: float = field(default=0.0)
     rl_time_s: float = field(default=0.0)
+    eval_time_s: float = field(default=0.0)
 
 
 @dataclass
@@ -273,7 +295,9 @@ def train(cfg: ScenarioConfig, method: str = "qa") -> TrainResult:
         eps = max(cfg.eps_min, eps * cfg.eps_decay)
     rl_time = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     ev = evaluate_policy(world, qtables, audit)
+    eval_time = time.perf_counter() - t0
     n_virtual = sum(1 for _, _, v in world.graph.edges if v)
     report = RunReport(
         method=method,
@@ -295,6 +319,7 @@ def train(cfg: ScenarioConfig, method: str = "qa") -> TrainResult:
         audit=dict(audit),
         condense_time_s=condense_time,
         rl_time_s=rl_time,
+        eval_time_s=eval_time,
     )
     return TrainResult(report=report, world=world, qtables=qtables, episodes=episodes)
 
@@ -404,6 +429,7 @@ def report_to_dict(report: RunReport) -> dict:
     d = dict(report.__dict__)
     d.pop("condense_time_s")
     d.pop("rl_time_s")
+    d.pop("eval_time_s")
     return d
 
 

@@ -66,3 +66,20 @@ def brute_force_slot(large_scale_db, fading, prev_assoc, cfg):
         outage.append(g < gamma_lin)
     return (np.array(p_w), np.array(assoc), np.array(interf),
             np.array(sinr), np.array(outage))
+
+
+def brute_force_reward(n, assoc, outage, priority_mask, cfg):
+    """One UAV's penalty from per-user loops, in the reward's operation order."""
+    pr_out = pr_n = nr_out = nr_n = 0
+    for k in range(len(assoc)):
+        if assoc[k] != n:
+            continue
+        if priority_mask[k]:
+            pr_n += 1
+            pr_out += bool(outage[k])
+        else:
+            nr_n += 1
+            nr_out += bool(outage[k])
+    pr_frac = pr_out / pr_n if pr_n else 0.0
+    nr_frac = nr_out / nr_n if nr_n else 0.0
+    return -(cfg.mu_pr * (pr_out + pr_frac) + cfg.mu_nr * (nr_out + nr_frac))

@@ -96,6 +96,10 @@ def test_train_writes_full_artifact_set(tiny_config, tmp_path, capsys):
     rep = json.loads((out / "report.json").read_text())
     assert rep["method"] == "kmeans"
     assert len(rep["reward_curve"]) == 4
+    assert "eval_time_s" not in rep
+    timings = json.loads((out / "timings.json").read_text())
+    assert set(timings) == {"condense_s", "rl_s", "eval_s"}
+    assert timings["eval_s"] > 0.0
 
 
 def test_evaluate_requires_existing_snapshot(tiny_config, tmp_path, capsys):
@@ -128,6 +132,18 @@ def test_evaluate_rejects_mismatched_snapshot(tiny_config, tmp_path, capsys):
                  "--qtable", str(out / "qtable.csv"),
                  "--out", str(tmp_path / "o2")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_non_finite_snapshot(tiny_config, tmp_path, capsys):
+    out = tmp_path / "train"
+    assert main(["train", "--config", tiny_config, "--out", str(out)]) == 0
+    qtable = out / "qtable.csv"
+    lines = qtable.read_text().strip().split("\n")
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+    qtable.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--config", tiny_config, "--qtable", str(qtable),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_sweep_row_count(tiny_config, tmp_path, capsys):

@@ -1,0 +1,44 @@
+"""report.json bytes pinned at unit-test size, the regression oracle for refactors.
+
+Transcendental ufuncs may change between numpy releases, so the digests bind
+only under the numpy version they were recorded with; under any other the
+test skips and names both versions.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from absim.sim import train, write_report_json
+from helpers import mk_cfg
+
+DIGESTS_NUMPY = "2.4.6"
+
+GOLDEN = [
+    ("qa", dict(seed=0), "7a263b54db75223c3704d88ad7a942538e5d1b225514badb1c405d7d7b91e0bc"),
+    ("qa", dict(seed=1), "141eb73e65e613ba80a297aa687007e88ed24aa0fe55305e16821119c8c529fc"),
+    ("qa", dict(seed=2), "0d8725e643d5e56b1f479a9da5cd7b034e10318cf59da5aed444b856b5396802"),
+    ("kmeans", dict(seed=0), "7a071e94d1897ef50e2d3f7996fc98ebeef8f58831fbfc50e048536691feb06b"),
+    ("kmeans", dict(seed=1), "07c519ba92be2910a49538ff9401727a881286b7a376f1fdabe9c1b983a927f7"),
+    ("kmeans", dict(seed=2), "9c094e952cd68373c631b2420de8c233af851c9dd85686e182ebecbaad681b1d"),
+    ("snrp", dict(seed=0), "4c83aed8577940b4b8bbdd05734b6f8d034519d50c5dbcaf3b0c94cd0e02011e"),
+    ("snrp", dict(seed=1), "469084e8c77d7c1de51e861cc5cf30a38c9cb7c4342641e50567841cab1e0c36"),
+    ("snrp", dict(seed=2), "6c3fec5bcd47d657713a84cdd59582462146adeff9d10fb29e655a1150ea4fb3"),
+    ("qa", dict(seed=0, uav_start="random", n_uav=4),
+     "f1c26c06ce703553546cc837f719a7911c62bcd7b352b3efea8481e2a24b6fc8"),
+    ("qa", dict(seed=0, candidate_rule="uniform"),
+     "b982d343d9c10792c56410c5de465cf6f8ec987c6b474c09f9dcdf298ffe5f08"),
+]
+
+
+@pytest.mark.skipif(np.__version__ != DIGESTS_NUMPY,
+                    reason=f"golden digests recorded under numpy {DIGESTS_NUMPY}, "
+                           f"running numpy {np.__version__}")
+@pytest.mark.parametrize("method,overrides,digest", GOLDEN,
+                         ids=[f"{m}-" + "-".join(f"{k}={v}" for k, v in o.items())
+                              for m, o, _ in GOLDEN])
+def test_report_bytes_match_golden(method, overrides, digest, tmp_path):
+    path = tmp_path / "report.json"
+    write_report_json(path, train(mk_cfg(**overrides), method).report)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

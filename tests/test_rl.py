@@ -5,10 +5,11 @@ import pytest
 from scipy import stats
 
 from absim.condense import build_adjacency
+from absim.radio import outage_counts
 from absim.rl import (ActionSpace, QTable, export_qtables, feasible_actions,
                       load_qtables, reward, select_action, td_update)
 from absim.scenario import rng_stream
-from helpers import mk_cfg
+from helpers import brute_force_reward, mk_cfg
 
 
 def _chain(n, spacing=200.0):
@@ -79,33 +80,37 @@ def test_select_action_explores_uniformly():
     assert got.pvalue > 1e-3
 
 
+def _rewards(assoc, outage, priority_mask, cfg, n_uav=3):
+    counts = outage_counts(np.asarray(assoc), np.asarray(outage),
+                           np.asarray(priority_mask), n_uav)
+    return counts, reward(counts, cfg)
+
+
 def test_reward_zero_without_outage():
     cfg = mk_cfg()
-    r = reward(0, np.array([0, 0]), np.array([False, False]),
-               np.array([True, False]), cfg)
-    assert r.total == 0.0
+    _, r = _rewards([0, 0], [False, False], [True, False], cfg)
+    assert r.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_reward_single_priority_outage():
     cfg = mk_cfg(mu_pr=40.0)
-    r = reward(0, np.array([0]), np.array([True]), np.array([True]), cfg)
-    assert r.total == pytest.approx(-80.0)     # -40*(1 count + 1.0 fraction)
-    assert r.pr_outage_count == 1 and r.pr_outage_fraction == 1.0
+    counts, r = _rewards([0], [True], [True], cfg)
+    assert r[0] == pytest.approx(-80.0)       # -40*(1 count + 1.0 fraction)
+    assert counts[1, 1, 0] == 1 and counts[0, 1, 0] == 0   # 1 of 1 priority users
 
 
 def test_reward_regular_fraction():
     cfg = mk_cfg(mu_nr=1.0)
-    r = reward(0, np.array([0, 0]), np.array([True, False]),
-               np.array([False, False]), cfg)
-    assert r.total == pytest.approx(-1.5)      # -(1 count + 0.5 fraction)
+    _, r = _rewards([0, 0], [True, False], [False, False], cfg)
+    assert r[0] == pytest.approx(-1.5)        # -(1 count + 0.5 fraction)
 
 
 def test_reward_only_counts_own_cell():
     cfg = mk_cfg(mu_pr=40.0)
     # the outaged priority user belongs to ABS 1, so ABS 0 is unaffected
-    r = reward(0, np.array([1, 0]), np.array([True, False]),
-               np.array([True, False]), cfg)
-    assert r.total == 0.0
+    _, r = _rewards([1, 0], [True, False], [True, False], cfg)
+    assert r[0] == 0.0
+    assert r[1] == pytest.approx(-80.0)
 
 
 def test_reward_never_positive():
@@ -113,11 +118,13 @@ def test_reward_never_positive():
     rng = np.random.default_rng(0)
     for _ in range(200):
         k = int(rng.integers(1, 12))
-        r = reward(int(rng.integers(3)), rng.integers(0, 3, k),
-                   rng.random(k) < 0.5, rng.random(k) < 0.3, cfg)
-        assert r.total <= 0.0
-        assert 0.0 <= r.pr_outage_fraction <= 1.0
-        assert 0.0 <= r.nr_outage_fraction <= 1.0
+        assoc, outage, pr = rng.integers(0, 3, k), rng.random(k) < 0.5, rng.random(k) < 0.3
+        counts, r = _rewards(assoc, outage, pr, cfg)
+        assert counts.sum() == k
+        assert (r <= 0.0).all()
+        # same float operations as the per-user loop, so equal bit for bit
+        assert r.tolist() == [brute_force_reward(n, assoc, outage, pr, cfg)
+                              for n in range(3)]
 
 
 def test_td_update_hand_step():
@@ -199,6 +206,10 @@ def test_qtable_export_import_roundtrip(tmp_path):
     (lambda lines: lines + ["1,0,3,0.5"], "not a neighbor"),   # 0-3 too far
     (lambda lines: lines + ["5,0,0,0.5"], "out of range"),
     (lambda lines: lines[:-1], "misses"),
+    pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",nan"],
+                 "non-finite", id="nan"),
+    pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",-inf"],
+                 "non-finite", id="-inf"),
 ])
 def test_qtable_import_rejects_corruption(tmp_path, mutation, complaint):
     cfg, graph, _ = _chain(4)

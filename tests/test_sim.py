@@ -6,11 +6,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from absim.channel import ChannelParams, link_matrix, sample_fading
+from absim.condense import CondensedGraph
 from absim.scenario import config_hash
-from absim.sim import (AUDIT_KEYS, METHODS, build_world, compare_methods,
-                       condense_graph, evaluate_policy, report_to_dict, run_dir,
-                       start_states, sweep_mu, train, with_seed,
+from absim.sim import (AUDIT_KEYS, METHODS, _audit_moves, build_world, compare_methods,
+                       condense_graph, evaluate_policy, make_world, report_to_dict,
+                       run_dir, start_states, sweep_mu, train, with_seed,
                        write_centroids_csv, write_compare_learning_curves_csv,
                        write_edges_csv, write_learning_curve_csv, write_outage_csv,
                        write_report_json, write_summary_md, write_sweep_csv,
@@ -28,6 +32,74 @@ def test_build_world_wiring():
     assert condense_time >= 0.0
     for s in range(world.graph.n_centroids):
         assert len(world.space.actions(s)) >= 1
+    m = cfg.n_centroids
+    assert world.loss_db.shape == (cfg.n_users, m)
+    assert world.is_neighbor.shape == world.move_ok.shape == (m, m)
+    assert world.is_neighbor.diagonal().all() and world.move_ok.diagonal().all()
+
+
+@pytest.fixture(scope="module")
+def small_world():
+    return build_world(mk_cfg(), "kmeans")[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(states=st.lists(st.integers(0, mk_cfg().n_centroids - 1), min_size=1, max_size=6))
+def test_loss_table_gather_equals_link_matrix(small_world, states):
+    # repeated centroids included: two UAVs may share a waypoint
+    w = small_world
+    _, want = link_matrix(w.graph.centroids[states], w.cfg.altitude_m, w.users_xy,
+                          ChannelParams.from_config(w.cfg))
+    got = w.loss_db[:, states]
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_episode_fading_draw_equals_per_slot_draws():
+    cfg = mk_cfg()
+    bulk = sample_fading(rng_stream(7, "fading"),
+                         (cfg.slots_per_episode, cfg.n_users, cfg.n_uav))
+    rng = rng_stream(7, "fading")
+    per_slot = [sample_fading(rng, (cfg.n_users, cfg.n_uav))
+                for _ in range(cfg.slots_per_episode)]
+    assert bulk.tobytes() == np.stack(per_slot).tobytes()
+
+
+def _bridged_chain_world(cfg):
+    """Hand-built graph: 0-1-2 chain, a virtual corridor 2-3, and a 3-4 edge
+    that claims to be regular but is longer than one slot's flight."""
+    assert cfg.move_radius_m() == 250.0
+    cents = np.array([[0.0, 0.0], [120.0, 0.0], [240.0, 0.0],
+                      [3000.0, 0.0], [3400.0, 0.0]])
+    edges = [(0, 1, False), (1, 2, False), (2, 3, True), (3, 4, False)]
+    neighbors = [np.array(nb) for nb in ([0, 1], [0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4])]
+    graph = CondensedGraph(centroids=cents, neighbors=neighbors, edges=edges,
+                           method="hand", distortion=0.0)
+    users_xy = np.array([[10.0, 5.0], [3100.0, 20.0]])
+    return make_world(cfg, users_xy, np.array([True, False]), graph)
+
+
+def test_audit_moves_counts_each_violation():
+    cfg = mk_cfg()
+    world = _bridged_chain_world(cfg)
+    moves = [(0, 5),                    # off the graph
+             (0, 2),                    # 240 m, in reach, but no edge
+             (0, 3),                    # no edge and far, not virtual
+             (3, 4), (4, 3),            # edge longer than the move radius
+             (2, 3), (3, 2),            # along the virtual corridor
+             (1, 1), (1, 0), (1, 2)]    # hover and legal steps
+    audit = dict.fromkeys(AUDIT_KEYS, 0)
+    _audit_moves(world, [s for s, _ in moves], [a for _, a in moves], audit)
+    assert audit == {"waypoint_off_graph": 1, "move_not_neighbor": 2,
+                     "move_too_fast": 3, "altitude_out_of_band": 0,
+                     "power_above_cap": 0}
+
+    # a negative target must not wrap around to the last centroid
+    high = dataclasses.replace(world, cfg=dataclasses.replace(cfg, altitude_m=400.0))
+    _audit_moves(high, [1], [-1], audit)
+    assert audit == {"waypoint_off_graph": 2, "move_not_neighbor": 2,
+                     "move_too_fast": 3, "altitude_out_of_band": 1,
+                     "power_above_cap": 0}
 
 
 def test_unknown_method_rejected():
@@ -181,7 +253,8 @@ def test_report_json_round_trip(tiny_run, tmp_path):
     rep = tiny_run.report
     write_report_json(tmp_path / "report.json", rep)
     loaded = json.loads((tmp_path / "report.json").read_text())
-    assert "condense_time_s" not in loaded and "rl_s" not in loaded
+    assert "condense_time_s" not in loaded and "rl_time_s" not in loaded
+    assert "eval_time_s" not in loaded
     assert loaded["eval_outage"] == rep.eval_outage        # exact floats
     assert loaded["config"]["n_users"] == tiny_run.world.cfg.n_users
     assert loaded["reward_curve"] == rep.reward_curve
