@@ -10,7 +10,7 @@ with each of the three condensers and compares what comes out.
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from absim.condense import distortion, kmeans_condense, qa_condense, snrp_condense, virtual_edge_set
+from absim.condense import distortion, kmeans_condense, qa_condense, snrp_condense
 from absim.scenario import ScenarioConfig, drop_users, generate_candidates, rng_stream, user_arrays
 
 cfg = ScenarioConfig()
@@ -36,7 +36,7 @@ for name, g in graphs.items():
     np.fill_diagonal(d2, np.inf)
     nn_median = float(np.median(d2.min(axis=1)))
     print(f"{name:>8} {g.distortion:12.0f} {g.distortion / km_dist:10.3f} "
-          f"{nn_median:12.0f} {len(virtual_edge_set(g)):14d}")
+          f"{nn_median:12.0f} {sum(v for _, _, v in g.edges):14d}")
 
 if graphs["qa"].init_distortion is not None:
     g = graphs["qa"]

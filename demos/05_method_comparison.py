@@ -14,6 +14,8 @@ from absim.scenario import ScenarioConfig
 from absim.sim import METHODS, compare_methods
 
 N_SEEDS = 2
+# all six runs train in lockstep, so "learn s" is each run's share (1/6) of
+# the batch's wall time
 results = compare_methods(ScenarioConfig(), N_SEEDS)
 
 print(f"{'method':>8} {'net outage':>14} {'priority':>9} {'regular':>9} "

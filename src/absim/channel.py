@@ -93,14 +93,6 @@ def sample_fading(rng: np.random.Generator, size=None):
     return rng.exponential(1.0, size)
 
 
-def channel_gain(loss_db, fading):
-    """Linear power gain 10^(-L/10) scaled by a fading draw."""
-    g = np.power(10.0, -np.asarray(loss_db, dtype=float) / 10.0) * fading
-    if np.isscalar(loss_db) and np.isscalar(fading):
-        return float(g)
-    return g
-
-
 def link_matrix(uav_xy: np.ndarray, altitude_m: float, users_xy: np.ndarray,
                 p: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
     """(n_users, n_uav) distances and large-scale losses for a whole slot."""

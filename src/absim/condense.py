@@ -46,6 +46,14 @@ class CondensedGraph:
     def n_centroids(self) -> int:
         return len(self.centroids)
 
+    def adjacency(self) -> np.ndarray:
+        """(M, M) bool, True where a move from s to a follows an edge or hovers."""
+        m = self.n_centroids
+        adj = np.zeros((m, m), dtype=bool)
+        for s, nb in enumerate(self.neighbors):
+            adj[s, nb] = True
+        return adj
+
 
 def distortion(nodes: np.ndarray, centroids: np.ndarray) -> float:
     """Sum over candidates of squared distance to the nearest centroid."""
@@ -63,15 +71,6 @@ def _draw_move(centroids, nodes, rng, cfg) -> tuple[int, np.ndarray]:
         new[0] = min(max(new[0], cfg.x_min), cfg.x_max)
         new[1] = min(max(new[1], cfg.y_min), cfg.y_max)
     return m, new
-
-
-def propose(centroids: np.ndarray, nodes: np.ndarray, rng: np.random.Generator,
-            cfg: ScenarioConfig) -> np.ndarray:
-    """Proposal as a full centroid set (one row differs)."""
-    m, new = _draw_move(centroids, nodes, rng, cfg)
-    out = centroids.copy()
-    out[m] = new
-    return out
 
 
 def accept(delta: float, temperature: float, rng: np.random.Generator) -> bool:
@@ -300,30 +299,44 @@ def build_adjacency(centroids: np.ndarray, cfg: ScenarioConfig, method: str = ""
 
     Every node gets a self-loop (hover). If the graph is disconnected,
     minimum-length bridges join the closest component pair until one
-    component remains; those edges are flagged virtual.
+    component remains; those edges are flagged virtual. That greedy rule is
+    Kruskal's algorithm (Kruskal 1956) on the components: pairs are taken
+    in order of (squared distance, row-major index) and one becomes a
+    bridge when union-find still holds its ends apart.
     """
     m = len(centroids)
-    radius = cfg.move_radius_m()
     d2 = cdist(centroids, centroids, "sqeuclidean")
-    edges = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if d2[i, j] <= radius ** 2:
-                edges.append((i, j, False))
+    iu, ju = np.triu_indices(m, 1)             # upper triangle, row-major
+    pair_d2 = d2[iu, ju]
+    near = pair_d2 <= cfg.move_radius_m() ** 2
+    edges = [(i, j, False) for i, j in zip(iu[near].tolist(), ju[near].tolist())]
 
-    comp = _components(m, edges)
-    while len(set(comp)) > 1:
-        best_pair = None
-        best_d = math.inf
-        for i in range(m):
-            for j in range(i + 1, m):
-                if comp[i] != comp[j] and d2[i, j] < best_d:
-                    best_d = d2[i, j]
-                    best_pair = (i, j)
-        i, j = best_pair
-        edges.append((i, j, True))
-        old, new = comp[j], comp[i]
-        comp = [new if c == old else c for c in comp]
+    parent = list(range(m))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j) -> bool:
+        ri, rj = root(i), root(j)
+        parent[rj] = ri
+        return ri != rj
+
+    n_comp = m
+    for i, j, _ in edges:
+        n_comp -= union(i, j)
+    if n_comp > 1:
+        comp = np.array([root(i) for i in range(m)])
+        cross = comp[iu] != comp[ju]
+        order = np.argsort(pair_d2[cross], kind="stable")
+        for i, j in zip(iu[cross][order].tolist(), ju[cross][order].tolist()):
+            if union(i, j):
+                edges.append((i, j, True))
+                n_comp -= 1
+                if n_comp == 1:
+                    break
 
     neighbors = [[i] for i in range(m)]
     for i, j, _ in edges:
@@ -332,29 +345,3 @@ def build_adjacency(centroids: np.ndarray, cfg: ScenarioConfig, method: str = ""
     neighbors = [np.array(sorted(nb), dtype=int) for nb in neighbors]
     return CondensedGraph(centroids=centroids, neighbors=neighbors,
                           edges=sorted(edges), method=method, distortion=dist)
-
-
-def _components(m: int, edges: list) -> list:
-    comp = list(range(m))
-    changed = True
-    while changed:
-        changed = False
-        for i, j, _ in edges:
-            lo = min(comp[i], comp[j])
-            if comp[i] != lo or comp[j] != lo:
-                comp[i] = comp[j] = lo
-                changed = True
-        # propagate until stable
-        for k in range(m):
-            root = k
-            while comp[root] != root:
-                root = comp[root]
-            if comp[k] != root:
-                comp[k] = root
-                changed = True
-    return comp
-
-
-def virtual_edge_set(graph: CondensedGraph) -> set:
-    """Unordered node pairs joined only by connectivity repair."""
-    return {(i, j) for i, j, virt in graph.edges if virt}

@@ -9,110 +9,130 @@ Update rule per transition (s, a, r, s'):
 
     y       = r + zeta * max_{a' feasible at s'} Q[s'][a']
     Q[s][a] = (1 - alpha_q) * Q[s][a] + alpha_q * y
+
+A world's tables are one dense (n_uav, M, M) array Q[n, s, a]; entries off
+the graph stay 0 and are never read, because every read is masked by the
+world's (M, M) `feasible` table. Worlds stepped in lockstep stack these
+along a leading world axis, so selection and backups take one call per slot.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .scenario import ScenarioConfig
-from .condense import CondensedGraph, virtual_edge_set
+from .condense import CondensedGraph
 
 
-class QTable:
-    """One UAV's action values, stored per state in neighbor-list order."""
-
-    def __init__(self, graph: CondensedGraph):
-        self.values = [np.zeros(len(nb)) for nb in graph.neighbors]
-
-    def lookup(self, s: int, a: int, graph: CondensedGraph) -> float:
-        pos = int(np.searchsorted(graph.neighbors[s], a))
-        return float(self.values[s][pos])
-
-
-class ActionSpace:
-    """Feasible move targets per state for one (graph, config) pair.
+def feasible_table(graph: CondensedGraph, cfg: ScenarioConfig) -> np.ndarray:
+    """(M, M) bool, True where a may follow s in one slot.
 
     A neighbor is feasible if it is the node itself (hover), lies within
     the one-slot move radius, or is joined by a virtual corridor edge
     (connectivity repair would be pointless if the corridor were barred).
+    Every row keeps its hover entry, so no state is left without a move.
     """
-
-    def __init__(self, graph: CondensedGraph, cfg: ScenarioConfig):
-        radius = cfg.move_radius_m()
-        virt = virtual_edge_set(graph)
-        self.graph = graph
-        self.positions = []
-        for s, nb in enumerate(graph.neighbors):
-            d = np.linalg.norm(graph.centroids[nb] - graph.centroids[s], axis=1)
-            ok = np.zeros(len(nb), dtype=bool)
-            for k, a in enumerate(nb):
-                pair = (min(s, int(a)), max(s, int(a)))
-                ok[k] = a == s or d[k] <= radius or pair in virt
-            self.positions.append(np.flatnonzero(ok))
-
-    def actions(self, s: int) -> np.ndarray:
-        """Feasible target centroid ids, ascending."""
-        return self.graph.neighbors[s][self.positions[s]]
+    c = graph.centroids
+    dist = np.linalg.norm(c[None, :, :] - c[:, None, :], axis=2)   # [s, a]: |c_a - c_s|
+    ok = np.eye(len(c), dtype=bool) | (dist <= cfg.move_radius_m())
+    for i, j, virt in graph.edges:
+        if virt:
+            ok[i, j] = ok[j, i] = True
+    return ok & graph.adjacency()
 
 
-def feasible_actions(graph: CondensedGraph, s: int, cfg: ScenarioConfig) -> np.ndarray:
-    """Never empty: the self-loop keeps hovering available everywhere."""
-    return ActionSpace(graph, cfg).actions(s)
+def move_table(feasible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feasible targets per state, ascending and left-aligned in an (M, M)
+    table padded with -1, and their count per state."""
+    m = feasible.shape[-1]
+    n_moves = feasible.sum(axis=-1)
+    first = np.argsort(~feasible, axis=-1, kind="stable")
+    return np.where(np.arange(m) < n_moves[:, None], first, -1), n_moves
 
 
-def select_action(q: QTable, s: int, eps: float, rng: np.random.Generator,
-                  space: ActionSpace) -> int:
-    """Epsilon-greedy over feasible actions; greedy ties break low-index."""
-    pos = space.positions[s]
-    if eps > 0.0 and rng.random() < eps:
-        return int(space.graph.neighbors[s][pos[rng.integers(len(pos))]])
-    vals = q.values[s][pos]
-    return int(space.graph.neighbors[s][pos[int(np.argmax(vals))]])
+@lru_cache(maxsize=16)
+def _index_arrays(n_worlds: int, n_uav: int):
+    """Index arrays that pair each (world, UAV) entry of states with its table."""
+    w, n = np.arange(n_worlds)[:, None], np.arange(n_uav)
+    w.flags.writeable = n.flags.writeable = False   # shared between calls
+    return w, n
 
 
-def reward(counts: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+def select_action(q: np.ndarray, states: np.ndarray, eps: float, rngs: list,
+                  feasible: np.ndarray, moves: list, n_moves: list) -> np.ndarray:
+    """Epsilon-greedy next centroid for every UAV of every world.
+
+    q is (S, n_uav, M, M), states (S, n_uav) and feasible (S, M, M); moves
+    and n_moves are the worlds' move tables as nested lists. Greedy ties
+    break to the lowest index. World w explores with its own stream
+    rngs[w], UAV by UAV: random(), then, if below eps, integers() over the
+    feasible targets. With eps = 0 nothing is drawn.
+    """
+    w, n = _index_arrays(*states.shape)
+    vals = np.where(feasible[w, states], q[w, n, states], -np.inf)
+    actions = vals.argmax(axis=-1)
+    if eps > 0.0:
+        for k, (rng, row) in enumerate(zip(rngs, states.tolist())):
+            for u, s in enumerate(row):
+                if rng.random() < eps:
+                    actions[k, u] = moves[k][s][rng.integers(n_moves[k][s])]
+    return actions
+
+
+def reward(counts: np.ndarray, mu_pr, mu_nr) -> np.ndarray:
     """Per-UAV priority-weighted penalty on outage counts and class fractions.
 
     counts is radio.outage_counts' table, users by [clear, outage]
-    [regular, priority][ABS]. A fraction is over the class's users served by
-    that ABS, 0 if it serves none. Every total is non-positive.
+    [regular, priority][ABS], with optional leading world axes; mu_pr and
+    mu_nr broadcast against the (..., n_uav) result, so lockstep worlds may
+    weigh differently. A fraction is over the class's users served by that
+    ABS, 0 if it serves none. Every total is non-positive.
     """
-    served = counts[0] + counts[1]
-    out = counts[1]
+    out = counts[..., 1, :, :]
+    served = counts[..., 0, :, :] + out
     frac = np.divide(out, served, out=np.zeros(served.shape), where=served > 0)
     penalty = out + frac
-    return -(cfg.mu_pr * penalty[1] + cfg.mu_nr * penalty[0])
+    return -(mu_pr * penalty[..., 1, :] + mu_nr * penalty[..., 0, :])
 
 
-def td_update(q: QTable, s: int, a: int, r: float, s_next: int,
-              cfg: ScenarioConfig, space: ActionSpace) -> float:
-    """One Q-learning backup; returns the new Q[s][a]."""
-    nxt = q.values[s_next][space.positions[s_next]]
-    y = r + cfg.zeta * float(nxt.max())
-    pos = int(np.searchsorted(space.graph.neighbors[s], a))
-    new = (1.0 - cfg.alpha_q) * q.values[s][pos] + cfg.alpha_q * y
-    q.values[s][pos] = new
-    return float(new)
+def td_update(q: np.ndarray, states: np.ndarray, actions: np.ndarray,
+              rewards: np.ndarray, next_states: np.ndarray, cfg: ScenarioConfig,
+              feasible: np.ndarray) -> np.ndarray:
+    """One Q-learning backup per UAV of every world; returns the new Q[s][a].
+
+    Shapes as in select_action. Every bootstrap max is read before any
+    entry is written, so a hover backup sees its own old value.
+    """
+    w, n = _index_arrays(*states.shape)
+    nxt = np.maximum.reduce(np.where(feasible[w, next_states], q[w, n, next_states], -np.inf),
+                            axis=-1)
+    y = rewards + cfg.zeta * nxt
+    new = (1.0 - cfg.alpha_q) * q[w, n, states, actions] + cfg.alpha_q * y
+    q[w, n, states, actions] = new
+    return new
 
 
-def export_qtables(path, qtables: list, graph: CondensedGraph) -> None:
-    """CSV snapshot, one row per (uav, state, action)."""
+def export_qtables(path, qtables: np.ndarray, graph: CondensedGraph) -> None:
+    """CSV snapshot of one world's (n_uav, M, M) tables, one row per
+    (uav, state, action) graph move."""
     with open(path, "w") as fh:
         fh.write("uav,state,action,value\n")
         for n, q in enumerate(qtables):
             for s, nb in enumerate(graph.neighbors):
-                for k, a in enumerate(nb):
-                    fh.write(f"{n},{s},{int(a)},{float(q.values[s][k])!r}\n")
+                for a, v in zip(nb.tolist(), q[s, nb].tolist()):
+                    fh.write(f"{n},{s},{a},{v!r}\n")
 
 
-def load_qtables(path, graph: CondensedGraph, n_uav: int) -> list:
-    """Rebuild tables from export_qtables output; shape must match graph."""
-    qtables = [QTable(graph) for _ in range(n_uav)]
-    seen = [[np.zeros(len(nb), dtype=bool) for nb in graph.neighbors]
-            for _ in range(n_uav)]
+def load_qtables(path, graph: CondensedGraph, n_uav: int) -> np.ndarray:
+    """Rebuild the (n_uav, M, M) tables from export_qtables output; the
+    rows must cover exactly the graph's moves."""
+    m = graph.n_centroids
+    adj = graph.adjacency()
+    q = np.zeros((n_uav, m, m))
+    seen = np.zeros((n_uav, m, m), dtype=bool)
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "uav,state,action,value":
@@ -120,18 +140,17 @@ def load_qtables(path, graph: CondensedGraph, n_uav: int) -> list:
         for line in fh:
             n_s, s_s, a_s, v_s = line.strip().split(",")
             n, s, a = int(n_s), int(s_s), int(a_s)
-            if not (0 <= n < n_uav and 0 <= s < graph.n_centroids):
+            if not (0 <= n < n_uav and 0 <= s < m):
                 raise ValueError(f"Q-table row out of range: {line.strip()}")
-            pos = int(np.searchsorted(graph.neighbors[s], a))
-            if pos >= len(graph.neighbors[s]) or graph.neighbors[s][pos] != a:
+            if not (0 <= a < m and adj[s, a]):
                 raise ValueError(f"action {a} is not a neighbor of state {s}")
             value = float(v_s)
             if not math.isfinite(value):
                 raise ValueError(f"non-finite Q-value: {line.strip()}")
-            qtables[n].values[s][pos] = value
-            seen[n][s][pos] = True
-    for n in range(n_uav):
-        for s in range(graph.n_centroids):
-            if not seen[n][s].all():
-                raise ValueError(f"Q-table misses entries for uav {n}, state {s}")
-    return qtables
+            q[n, s, a] = value
+            seen[n, s, a] = True
+    missing = adj & ~seen
+    if missing.any():
+        n, s, _ = np.argwhere(missing)[0]
+        raise ValueError(f"Q-table misses entries for uav {n}, state {s}")
+    return q

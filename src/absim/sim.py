@@ -6,6 +6,11 @@ the new geometry, and each UAV receives its outage penalty and updates its
 Q-table. Episodes restart the fleet at its initial placement over the same
 frozen user drop.
 
+Training runs any number of worlds (a seed, condenser or reward weight
+each) in lockstep: one slot step advances all of them through stacked
+tables, while each world draws from its own RNG streams, so a world's
+results do not depend on which others it was batched with.
+
 File outputs are deterministic for a given (config, seed): floats are
 written in shortest round-trip form and wall-clock timings live in a
 separate timings.json.
@@ -13,6 +18,7 @@ separate timings.json.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -25,12 +31,19 @@ from .scenario import (ScenarioConfig, config_hash, drop_users, generate_candida
 from .channel import ChannelParams, link_matrix, sample_fading
 from .radio import LinkState, OutageStats, evaluate_slot, outage_stats, radio_constants
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
-from .rl import ActionSpace, QTable, reward, select_action, td_update
+from .rl import feasible_table, move_table, reward, select_action, td_update
 
 METHODS = ("qa", "kmeans", "snrp")
 
 AUDIT_KEYS = ("waypoint_off_graph", "move_not_neighbor", "move_too_fast",
               "altitude_out_of_band", "power_above_cap")
+
+_OFF_GRAPH, _NOT_NEIGHBOR, _TOO_FAST, _ALTITUDE, _POWER = range(len(AUDIT_KEYS))
+# violation bits of Lockstep.move_flags, with the audit column each counts in
+_MOVE_BITS = ((4, _OFF_GRAPH), (1, _NOT_NEIGHBOR), (2, _TOO_FAST))
+
+# config fields in which worlds stepped in lockstep may differ
+WORLD_FIELDS = ("seed", "mu_pr", "mu_nr")
 
 
 @dataclass
@@ -46,8 +59,8 @@ class World:
     users_xy: np.ndarray
     priority_mask: np.ndarray
     graph: CondensedGraph
-    space: ActionSpace
     loss_db: np.ndarray       # (n_users, M) large-scale loss to every centroid
+    feasible: np.ndarray      # (M, M) bool, moves the learner may pick
     is_neighbor: np.ndarray   # (M, M) bool, graph adjacency incl. self-loops
     move_ok: np.ndarray       # (M, M) bool, within one slot's flight or virtual
 
@@ -66,25 +79,22 @@ def condense_graph(method: str, nodes: np.ndarray, users_xy: np.ndarray,
 
 def make_world(cfg: ScenarioConfig, users_xy: np.ndarray, priority_mask: np.ndarray,
                graph: CondensedGraph) -> World:
-    """Precompute action sets, the loss table and the move-audit tables.
+    """Precompute the learner's moves, the loss table and the move-audit tables.
 
     move_ok comes from raw centroid distances and the virtual edges, not
-    from the ActionSpace, so the audit stays an independent check.
+    from the learner's feasible table, so the audit stays an independent
+    check.
     """
-    m = graph.n_centroids
     _, loss_db = link_matrix(graph.centroids, cfg.altitude_m, users_xy,
                              ChannelParams.from_config(cfg))
-    is_neighbor = np.zeros((m, m), dtype=bool)
-    for s, nb in enumerate(graph.neighbors):
-        is_neighbor[s, nb] = True
     dist = np.linalg.norm(graph.centroids[:, None, :] - graph.centroids[None, :, :], axis=2)
     move_ok = dist <= cfg.move_radius_m() + 1e-9
     for i, j, virt in graph.edges:
         if virt:
             move_ok[i, j] = move_ok[j, i] = True
     return World(cfg=cfg, users_xy=users_xy, priority_mask=priority_mask, graph=graph,
-                 space=ActionSpace(graph, cfg), loss_db=loss_db,
-                 is_neighbor=is_neighbor, move_ok=move_ok)
+                 loss_db=loss_db, feasible=feasible_table(graph, cfg),
+                 is_neighbor=graph.adjacency(), move_ok=move_ok)
 
 
 def build_world(cfg: ScenarioConfig, method: str) -> tuple[World, float]:
@@ -95,6 +105,53 @@ def build_world(cfg: ScenarioConfig, method: str) -> tuple[World, float]:
     graph = condense_graph(method, nodes, users_xy, priority_mask, cfg)
     condense_time = time.perf_counter() - t0
     return make_world(cfg, users_xy, priority_mask, graph), condense_time
+
+
+class Lockstep:
+    """Worlds stepped slot by slot together.
+
+    Their tables are stacked on a leading world axis, so every slot stage
+    is one call for all of them. The worlds must agree on every config
+    field but WORLD_FIELDS, which gives them the same array shapes and the
+    same epsilon schedule. Each world keeps its own RNG streams, so its
+    results are those of running it alone.
+    """
+
+    def __init__(self, worlds: list):
+        def shared(c):
+            return {k: v for k, v in c.to_dict().items() if k not in WORLD_FIELDS}
+
+        cfg = worlds[0].cfg
+        if any(shared(w.cfg) != shared(cfg) for w in worlds[1:]):
+            raise ValueError("lockstep worlds may differ only in " + ", ".join(WORLD_FIELDS))
+        n_users, m = worlds[0].loss_db.shape
+        self.worlds = worlds
+        self.cfg = cfg
+        self.loss_flat = np.stack([w.loss_db for w in worlds]).ravel()
+        # flat offset of (world, user, centroid 0) in loss_flat
+        self.loss_rows = (m * np.arange(len(worlds) * n_users)).reshape(-1, n_users, 1)
+        self.priority = np.stack([w.priority_mask for w in worlds])
+        self.feasible = np.stack([w.feasible for w in worlds])
+        # the exploration loop reads the move tables as nested lists
+        tables = [move_table(w.feasible) for w in worlds]
+        self.moves = [moves.tolist() for moves, _ in tables]
+        self.n_moves = [n_moves.tolist() for _, n_moves in tables]
+        # [world, s, a] audit bits of a move: 1 no edge, 2 beyond one slot's
+        # flight; column M stands for every target off the graph (bit 4)
+        self.move_flags = np.full((len(worlds), m, m + 1), 4, dtype=np.uint8)
+        self.move_flags[:, :, :m] = np.stack([~w.is_neighbor + 2 * ~w.move_ok
+                                              for w in worlds])
+        self.world_col = np.arange(len(worlds))[:, None]
+        self.p_cap_w = radio_constants(cfg).p_max_w * (1.0 + 1e-12)
+        self.mu_pr = np.array([[w.cfg.mu_pr] for w in worlds])
+        self.mu_nr = np.array([[w.cfg.mu_nr] for w in worlds])
+
+    def __len__(self) -> int:
+        return len(self.worlds)
+
+    def loss(self, states: np.ndarray) -> np.ndarray:
+        """C-contiguous (S, n_users, n_uav) losses to each world's fleet."""
+        return self.loss_flat[self.loss_rows + states[:, None, :]]
 
 
 def start_states(world: World, rng_act: np.random.Generator) -> list[int]:
@@ -108,51 +165,50 @@ def start_states(world: World, rng_act: np.random.Generator) -> list[int]:
 
 @dataclass
 class SlotResult:
-    states: list              # centroid index per UAV after the move
+    states: np.ndarray        # (S, n_uav) centroid per UAV after the move
     link: LinkState
     stats: OutageStats
-    rewards: list             # penalty per UAV
+    rewards: np.ndarray       # (S, n_uav) penalty per UAV
 
 
-def run_slot(world: World, qtables: list, states: list,
+def run_slot(batch: Lockstep, q: np.ndarray, states: np.ndarray,
              prev_assoc: np.ndarray | None, eps: float, fading: np.ndarray,
-             rng_act: np.random.Generator, learn: bool, audit: dict) -> SlotResult:
-    """Advance one slot: move, radio at the new positions, rewards, TD backups.
+             rngs: list, learn: bool, audit: np.ndarray) -> SlotResult:
+    """Advance one slot of every world: move, radio at the new positions,
+    rewards, TD backups.
 
-    fading is this slot's (n_users, n_uav) draw.
+    q is (S, n_uav, M, M), states (S, n_uav), fading this slot's
+    (S, n_users, n_uav) draw and audit the (S, len(AUDIT_KEYS)) counts.
     """
-    cfg = world.cfg
-    actions = [select_action(qtables[n], states[n], eps, rng_act, world.space)
-               for n in range(cfg.n_uav)]
-    _audit_moves(world, states, actions, audit)
+    cfg = batch.cfg
+    actions = select_action(q, states, eps, rngs, batch.feasible, batch.moves,
+                            batch.n_moves)
+    _audit_moves(batch, states, actions, audit)
 
-    link = evaluate_slot(world.loss_db[:, actions], fading, prev_assoc, cfg)
-    if link.tx_power_w.max() > radio_constants(cfg).p_max_w * (1.0 + 1e-12):
-        audit["power_above_cap"] += 1
+    link = evaluate_slot(batch.loss(actions), fading, prev_assoc, cfg)
+    over_cap = np.maximum.reduce(link.tx_power_w, axis=-1) > batch.p_cap_w
+    if np.count_nonzero(over_cap):
+        audit[:, _POWER] += over_cap
 
-    stats = outage_stats(link, world.priority_mask, cfg.n_uav)
-    rewards = reward(stats.counts, cfg).tolist()
+    stats = outage_stats(link, batch.priority, cfg.n_uav)
+    rewards = reward(stats.counts, batch.mu_pr, batch.mu_nr)
     if learn:
-        for n in range(cfg.n_uav):
-            td_update(qtables[n], states[n], actions[n], rewards[n], actions[n],
-                      cfg, world.space)
+        td_update(q, states, actions, rewards, actions, cfg, batch.feasible)
     return SlotResult(states=actions, link=link, stats=stats, rewards=rewards)
 
 
-def _audit_moves(world: World, states: list, actions: list, audit: dict) -> None:
+def _audit_moves(batch: Lockstep, states: np.ndarray, actions: np.ndarray,
+                 audit: np.ndarray) -> None:
     """Count violations of the waypoint / adjacency / speed / altitude caps."""
-    cfg = world.cfg
+    cfg = batch.cfg
     if not (cfg.alt_min_m <= cfg.altitude_m <= cfg.alt_max_m):
-        audit["altitude_out_of_band"] += 1
-    m = len(world.move_ok)
-    for s, a in zip(states, actions):
-        if not 0 <= a < m:
-            audit["waypoint_off_graph"] += 1
-            continue
-        if not world.is_neighbor[s, a]:
-            audit["move_not_neighbor"] += 1
-        if not world.move_ok[s, a]:
-            audit["move_too_fast"] += 1
+        audit[:, _ALTITUDE] += 1
+    m = batch.move_flags.shape[1]
+    target = np.minimum(np.maximum(actions, -1), m)     # -1 wraps to column M
+    flags = batch.move_flags[batch.world_col, states, target]
+    if np.count_nonzero(flags):
+        for bit, col in _MOVE_BITS:
+            audit[:, col] += np.count_nonzero(flags & bit, axis=1)
 
 
 @dataclass
@@ -167,39 +223,44 @@ class EpisodeRecord:
     trajectory: list              # per UAV: centroid sequence, length slots+1
 
 
-def run_episode(world: World, qtables: list, eps: float,
-                rng_fading: np.random.Generator, rng_act: np.random.Generator,
-                learn: bool, audit: dict, index: int = 0) -> EpisodeRecord:
-    cfg = world.cfg
-    states = start_states(world, rng_act)
-    traj = [[s] for s in states]
+def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
+                rng_act: list, learn: bool, audit: np.ndarray, index: int = 0) -> list:
+    """One episode of every world, with world w drawing from rng_fading[w]
+    and rng_act[w]; returns an EpisodeRecord per world."""
+    cfg = batch.cfg
+    n_slots = cfg.slots_per_episode
+    link_shape = (cfg.n_users, cfg.n_uav)
+    states = np.array([start_states(w, rng) for w, rng in zip(batch.worlds, rng_act)])
+    fading = np.empty((n_slots, len(batch)) + link_shape)
+    for k, rng in enumerate(rng_fading):
+        fading[:, k] = sample_fading(rng, (n_slots,) + link_shape)
+    traj = np.empty((n_slots + 1,) + states.shape, dtype=int)
+    traj[0] = states
+    # per world and slot; reduced once per episode, every world's rows contiguous
+    rewards = np.empty((len(batch), n_slots, cfg.n_uav))
+    counts = np.empty((len(batch), n_slots, 2, 2, cfg.n_uav), dtype=int)
+    rate_sums = np.empty((len(batch), n_slots))
     prev_assoc = None
-    slot_rewards = []
-    out_net, out_pr, out_nr, rates = [], [], [], []
-    fading = sample_fading(rng_fading, (cfg.slots_per_episode, cfg.n_users, cfg.n_uav))
-    for fading_t in fading:
-        res = run_slot(world, qtables, states, prev_assoc, eps,
-                       fading_t, rng_act, learn, audit)
-        states = res.states
+    for t in range(n_slots):
+        res = run_slot(batch, q, states, prev_assoc, eps, fading[t], rng_act,
+                       learn, audit)
+        states = traj[t + 1] = res.states
         prev_assoc = res.link.assoc
-        for n, s in enumerate(states):
-            traj[n].append(s)
-        # built-in sum from int 0, left to right: np.sum would keep an
-        # all -0.0 slot at -0.0 and change the report's bytes
-        slot_rewards.append(sum(res.rewards))
-        out_net.append(res.stats.network)
-        out_pr.append(res.stats.priority)
-        out_nr.append(res.stats.regular)
-        rates.append(float(res.link.rate_bps.mean()))
-    return EpisodeRecord(
-        index=index, eps=eps,
-        mean_reward=float(np.mean(slot_rewards)),
-        outage_network=float(np.mean(out_net)),
-        outage_priority=float(np.mean(out_pr)),
-        outage_regular=float(np.mean(out_nr)),
-        mean_rate_bps=float(np.mean(rates)),
-        trajectory=traj,
-    )
+        rewards[:, t] = res.rewards
+        counts[:, t] = res.stats.counts
+        rate_sums[:, t] = np.add.reduce(res.link.rate_bps, axis=-1)
+    # built-in sum from int 0, left to right: np.sum would keep an all -0.0
+    # slot at -0.0 and change the report's bytes
+    slot_reward = np.array([[sum(r) for r in world] for world in rewards.tolist()])
+    stats = OutageStats(counts)
+    means = zip(slot_reward.mean(axis=-1).tolist(), stats.network.mean(axis=-1).tolist(),
+                stats.priority.mean(axis=-1).tolist(), stats.regular.mean(axis=-1).tolist(),
+                (rate_sums / cfg.n_users).mean(axis=-1).tolist(),   # of user means
+                traj.transpose(1, 2, 0).tolist())
+    return [EpisodeRecord(index=index, eps=eps, mean_reward=r, outage_network=net,
+                          outage_priority=pr, outage_regular=nr, mean_rate_bps=rate,
+                          trajectory=path)
+            for r, net, pr, nr, rate, path in means]
 
 
 @dataclass
@@ -232,7 +293,7 @@ class RunReport:
 class TrainResult:
     report: RunReport
     world: World
-    qtables: list
+    qtables: np.ndarray       # (n_uav, M, M)
     episodes: list            # EpisodeRecord per training episode
 
 
@@ -244,118 +305,146 @@ class EvalResult:
     episodes: list
 
 
-def evaluate_policy(world: World, qtables: list, audit: dict | None = None) -> EvalResult:
-    """Greedy rollout (eps = 0) over cfg.eval_episodes fresh episodes.
+def _evaluate(batch: Lockstep, q: np.ndarray, audit: np.ndarray) -> list:
+    """Greedy rollout (eps = 0) of every world over cfg.eval_episodes fresh
+    episodes; an EvalResult per world.
 
-    Uses dedicated eval RNG streams, so evaluating inside train() and
+    Uses dedicated eval RNG streams, so evaluating inside training and
     re-evaluating a loaded snapshot later give identical numbers.
     """
-    cfg = world.cfg
-    if audit is None:
-        audit = dict.fromkeys(AUDIT_KEYS, 0)
-    rng_fading = rng_stream(cfg.seed, "eval_fading")
-    rng_act = rng_stream(cfg.seed, "eval_egreedy")
-    records = []
-    for e in range(cfg.eval_episodes):
-        rec = run_episode(world, qtables, 0.0, rng_fading, rng_act,
-                          learn=False, audit=audit, index=e)
-        records.append(rec)
-
-    outage = {
-        "network": float(np.mean([r.outage_network for r in records])),
-        "priority": float(np.mean([r.outage_priority for r in records])),
-        "regular": float(np.mean([r.outage_regular for r in records])),
-    }
-    last = records[-1]
-    rows = []
-    for n, seq in enumerate(last.trajectory):
-        for t, c in enumerate(seq):
-            x, y = world.graph.centroids[c]
-            rows.append([n, t, int(c), float(x), float(y)])
-    return EvalResult(outage=outage,
-                      mean_rate_bps=float(np.mean([r.mean_rate_bps for r in records])),
-                      trajectory=rows, episodes=records)
+    rng_fading = [rng_stream(w.cfg.seed, "eval_fading") for w in batch.worlds]
+    rng_act = [rng_stream(w.cfg.seed, "eval_egreedy") for w in batch.worlds]
+    episodes = [run_episode(batch, q, 0.0, rng_fading, rng_act, learn=False,
+                            audit=audit, index=e)
+                for e in range(batch.cfg.eval_episodes)]
+    results = []
+    for k, world in enumerate(batch.worlds):
+        records = [ep[k] for ep in episodes]
+        outage = {
+            "network": float(np.mean([r.outage_network for r in records])),
+            "priority": float(np.mean([r.outage_priority for r in records])),
+            "regular": float(np.mean([r.outage_regular for r in records])),
+        }
+        rows = []
+        for n, seq in enumerate(records[-1].trajectory):
+            for t, c in enumerate(seq):
+                x, y = world.graph.centroids[c]
+                rows.append([n, t, int(c), float(x), float(y)])
+        results.append(EvalResult(
+            outage=outage,
+            mean_rate_bps=float(np.mean([r.mean_rate_bps for r in records])),
+            trajectory=rows, episodes=records))
+    return results
 
 
-def train(cfg: ScenarioConfig, method: str = "qa") -> TrainResult:
-    """Condense once, learn for cfg.episodes, then evaluate greedily."""
-    world, condense_time = build_world(cfg, method)
-    qtables = [QTable(world.graph) for _ in range(cfg.n_uav)]
-    audit = dict.fromkeys(AUDIT_KEYS, 0)
-    rng_fading = rng_stream(cfg.seed, "fading")
-    rng_act = rng_stream(cfg.seed, "egreedy")
+def evaluate_policy(world: World, qtables: np.ndarray, audit: dict | None = None) -> EvalResult:
+    """Greedy rollout of one world's (n_uav, M, M) tables; see _evaluate.
+
+    Audit violations are added to audit when one is given.
+    """
+    counts = np.zeros((1, len(AUDIT_KEYS)), dtype=np.int64)
+    ev = _evaluate(Lockstep([world]), qtables[None], counts)[0]
+    if audit is not None:
+        for key, c in zip(AUDIT_KEYS, counts[0].tolist()):
+            audit[key] += c
+    return ev
+
+
+def train_lockstep(jobs: list) -> list:
+    """Condense a world per (cfg, method) job, then learn for cfg.episodes
+    and evaluate greedily, all worlds in lockstep; a TrainResult per job.
+
+    Each result equals that of training its world alone, except for the
+    wall times: every world reports 1/S of the lockstep learning and
+    evaluation time.
+    """
+    if not jobs:
+        return []
+    built = [build_world(cfg, method) for cfg, method in jobs]
+    batch = Lockstep([world for world, _ in built])
+    cfg = batch.cfg
+    n = len(batch)
+    m = batch.feasible.shape[-1]
+    q = np.zeros((n, cfg.n_uav, m, m))
+    audit = np.zeros((n, len(AUDIT_KEYS)), dtype=np.int64)
+    rng_fading = [rng_stream(w.cfg.seed, "fading") for w in batch.worlds]
+    rng_act = [rng_stream(w.cfg.seed, "egreedy") for w in batch.worlds]
 
     t0 = time.perf_counter()
     eps = cfg.eps0
     episodes = []
     for e in range(cfg.episodes):
-        rec = run_episode(world, qtables, eps, rng_fading, rng_act,
-                          learn=True, audit=audit, index=e)
-        episodes.append(rec)
+        episodes.append(run_episode(batch, q, eps, rng_fading, rng_act,
+                                    learn=True, audit=audit, index=e))
         eps = max(cfg.eps_min, eps * cfg.eps_decay)
-    rl_time = time.perf_counter() - t0
+    rl_time = (time.perf_counter() - t0) / n
 
     t0 = time.perf_counter()
-    ev = evaluate_policy(world, qtables, audit)
-    eval_time = time.perf_counter() - t0
-    n_virtual = sum(1 for _, _, v in world.graph.edges if v)
-    report = RunReport(
-        method=method,
-        seed=cfg.seed,
-        config_hash=config_hash(cfg),
-        config=cfg.to_dict(),
-        distortion=world.graph.distortion,
-        init_distortion=world.graph.init_distortion,
-        n_edges=len(world.graph.edges),
-        n_virtual_edges=n_virtual,
-        reward_curve=[r.mean_reward for r in episodes],
-        eps_curve=[r.eps for r in episodes],
-        train_outage_network=[r.outage_network for r in episodes],
-        train_outage_priority=[r.outage_priority for r in episodes],
-        train_outage_regular=[r.outage_regular for r in episodes],
-        eval_outage=ev.outage,
-        eval_mean_rate_bps=ev.mean_rate_bps,
-        eval_trajectory=ev.trajectory,
-        audit=dict(audit),
-        condense_time_s=condense_time,
-        rl_time_s=rl_time,
-        eval_time_s=eval_time,
-    )
-    return TrainResult(report=report, world=world, qtables=qtables, episodes=episodes)
+    evals = _evaluate(batch, q, audit)
+    eval_time = (time.perf_counter() - t0) / n
+
+    results = []
+    for k, ((world, condense_time), (_, method), ev) in enumerate(zip(built, jobs, evals)):
+        records = [ep[k] for ep in episodes]
+        graph = world.graph
+        report = RunReport(
+            method=method,
+            seed=world.cfg.seed,
+            config_hash=config_hash(world.cfg),
+            config=world.cfg.to_dict(),
+            distortion=graph.distortion,
+            init_distortion=graph.init_distortion,
+            n_edges=len(graph.edges),
+            n_virtual_edges=sum(1 for _, _, v in graph.edges if v),
+            reward_curve=[r.mean_reward for r in records],
+            eps_curve=[r.eps for r in records],
+            train_outage_network=[r.outage_network for r in records],
+            train_outage_priority=[r.outage_priority for r in records],
+            train_outage_regular=[r.outage_regular for r in records],
+            eval_outage=ev.outage,
+            eval_mean_rate_bps=ev.mean_rate_bps,
+            eval_trajectory=ev.trajectory,
+            audit=dict(zip(AUDIT_KEYS, audit[k].tolist())),
+            condense_time_s=condense_time,
+            rl_time_s=rl_time,
+            eval_time_s=eval_time,
+        )
+        results.append(TrainResult(report=report, world=world, qtables=q[k],
+                                   episodes=records))
+    return results
+
+
+def train(cfg: ScenarioConfig, method: str = "qa") -> TrainResult:
+    """Condense once, learn for cfg.episodes, then evaluate greedily."""
+    return train_lockstep([(cfg, method)])[0]
 
 
 def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    import dataclasses
     return dataclasses.replace(cfg, seed=seed)
 
 
 def compare_methods(cfg: ScenarioConfig, n_seeds: int,
                     methods: tuple = METHODS) -> dict:
-    """Full train+evaluate per (method, seed); seeds are cfg.seed + i."""
-    results: dict = {m: [] for m in methods}
-    for m in methods:
-        for i in range(n_seeds):
-            results[m].append(train(with_seed(cfg, cfg.seed + i), m))
-    return results
+    """Full train+evaluate per (method, seed), all in lockstep; seeds are
+    cfg.seed + i."""
+    runs = iter(train_lockstep([(with_seed(cfg, cfg.seed + i), m)
+                                for m in methods for i in range(n_seeds)]))
+    return {m: [next(runs) for _ in range(n_seeds)] for m in methods}
 
 
 def sweep_mu(cfg: ScenarioConfig, mu_values: list, n_seeds: int = 1,
              method: str = "qa") -> list:
-    """Re-train per priority weight; rows of (mu_pr, seed, outage triple)."""
-    import dataclasses
-    rows = []
-    for mu in mu_values:
-        for i in range(n_seeds):
-            c = dataclasses.replace(cfg, mu_pr=float(mu), seed=cfg.seed + i)
-            res = train(c, method)
-            rows.append({
-                "mu_pr": float(mu),
-                "seed": c.seed,
-                "priority": res.report.eval_outage["priority"],
-                "regular": res.report.eval_outage["regular"],
-                "network": res.report.eval_outage["network"],
-            })
-    return rows
+    """Train per priority weight and seed, all in lockstep; rows of
+    (mu_pr, seed, outage triple)."""
+    cfgs = [dataclasses.replace(cfg, mu_pr=float(mu), seed=cfg.seed + i)
+            for mu in mu_values for i in range(n_seeds)]
+    return [{
+        "mu_pr": c.mu_pr,
+        "seed": c.seed,
+        "priority": res.report.eval_outage["priority"],
+        "regular": res.report.eval_outage["regular"],
+        "network": res.report.eval_outage["network"],
+    } for c, res in zip(cfgs, train_lockstep([(c, method) for c in cfgs]))]
 
 
 # -- deterministic file output ---------------------------------------------

@@ -1,11 +1,15 @@
 """Shared test scaffolding: shrunk configs and independent reference paths."""
 
 import dataclasses
+import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from absim.scenario import ScenarioConfig
+from absim.condense import _draw_move
 from absim.radio import dbm_to_watt, db_to_linear
+from absim.rl import td_update
+from absim.scenario import ScenarioConfig
 
 
 def mk_cfg(**overrides) -> ScenarioConfig:
@@ -83,3 +87,110 @@ def brute_force_reward(n, assoc, outage, priority_mask, cfg):
     pr_frac = pr_out / pr_n if pr_n else 0.0
     nr_frac = nr_out / nr_n if nr_n else 0.0
     return -(cfg.mu_pr * (pr_out + pr_frac) + cfg.mu_nr * (nr_out + nr_frac))
+
+
+def td_step(q, s, a, r, s_next, cfg, feasible):
+    """rl.td_update on one world's single-UAV (M, M) table q, in place;
+    returns the new Q[s][a]."""
+    new = td_update(q[None, None], np.array([[s]]), np.array([[a]]), np.array([[r]]),
+                    np.array([[s_next]]), cfg, feasible[None])
+    return float(new[0, 0])
+
+
+# -- reference paths the pipeline no longer uses ----------------------------
+
+
+def channel_gain(loss_db, fading):
+    """Linear power gain 10^(-L/10) scaled by a fading draw."""
+    g = np.power(10.0, -np.asarray(loss_db, dtype=float) / 10.0) * fading
+    if np.isscalar(loss_db) and np.isscalar(fading):
+        return float(g)
+    return g
+
+
+def interference(i: int, state) -> float:
+    """Inter-cell interference seen by user i at its serving ABS [W]."""
+    n = state.assoc[i]
+    others = state.assoc != n
+    return float((state.tx_power_w[others] * state.gains[others, n]).sum())
+
+
+def sinr(i: int, state, noise_w: float) -> float:
+    n = state.assoc[i]
+    sig = state.tx_power_w[i] * state.gains[i, n]
+    return float(sig / (noise_w + state.interference_w[i]))
+
+
+def propose(centroids, nodes, rng, cfg):
+    """Annealing proposal as a full centroid set (one row differs)."""
+    m, new = _draw_move(centroids, nodes, rng, cfg)
+    out = centroids.copy()
+    out[m] = new
+    return out
+
+
+def feasible_actions(graph, s: int, cfg) -> np.ndarray:
+    """Feasible targets of state s, ascending, by a per-neighbor loop: the
+    hover, a move within the radius, or a virtual corridor."""
+    radius = cfg.move_radius_m()
+    virt = {(i, j) for i, j, v in graph.edges if v}
+    nb = graph.neighbors[s]
+    d = np.linalg.norm(graph.centroids[nb] - graph.centroids[s], axis=1)
+    return np.array([int(a) for k, a in enumerate(nb)
+                     if a == s or d[k] <= radius or (min(s, int(a)), max(s, int(a))) in virt],
+                    dtype=int)
+
+
+def greedy_bridge_adjacency(centroids, cfg):
+    """(edges, neighbors) of the motion graph by the original nested loops:
+    radius edges, then while disconnected the shortest cross-component pair
+    (first in row-major order on ties) becomes a virtual bridge."""
+    m = len(centroids)
+    radius = cfg.move_radius_m()
+    d2 = cdist(centroids, centroids, "sqeuclidean")
+    edges = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if d2[i, j] <= radius ** 2:
+                edges.append((i, j, False))
+
+    comp = _components(m, edges)
+    while len(set(comp)) > 1:
+        best_pair = None
+        best_d = math.inf
+        for i in range(m):
+            for j in range(i + 1, m):
+                if comp[i] != comp[j] and d2[i, j] < best_d:
+                    best_d = d2[i, j]
+                    best_pair = (i, j)
+        i, j = best_pair
+        edges.append((i, j, True))
+        old, new = comp[j], comp[i]
+        comp = [new if c == old else c for c in comp]
+
+    neighbors = [[i] for i in range(m)]
+    for i, j, _ in edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    return sorted(edges), [np.array(sorted(nb), dtype=int) for nb in neighbors]
+
+
+def _components(m: int, edges: list) -> list:
+    comp = list(range(m))
+    changed = True
+    while changed:
+        changed = False
+        for i, j, _ in edges:
+            lo = min(comp[i], comp[j])
+            if comp[i] != lo or comp[j] != lo:
+                comp[i] = comp[j] = lo
+                changed = True
+        # propagate until stable
+        for k in range(m):
+            root = k
+            while comp[root] != root:
+                root = comp[root]
+            if comp[k] != root:
+                comp[k] = root
+                changed = True
+    return comp

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per shipped behavioral guarantee.
 
 The first block shares two heavy fixtures (15 full reference-size training
-runs for the method comparison, 25 for the priority-weight sweep), so this
-module takes several minutes. Each criterion is a single test and prints as
+runs for the method comparison, 25 for the priority-weight sweep, each set
+trained in lockstep), so this module takes about a minute. Each criterion is a single test and prints as
 a single pass/fail line under pytest -v.
 
 Three sub-assertions encode target outcomes the implemented physics does
@@ -24,11 +24,11 @@ from scipy import stats
 from absim.cli import main
 from absim.condense import accept, kmeans_condense, qa_condense
 from absim.radio import evaluate_slot
-from absim.rl import ActionSpace, QTable, td_update
+from absim.rl import feasible_table
 from absim.scenario import ScenarioConfig, generate_candidates, rng_stream
-from absim.sim import METHODS, train, with_seed
+from absim.sim import METHODS, compare_methods, sweep_mu, train
 from absim.channel import ChannelParams, link_matrix, sample_fading
-from helpers import brute_force_slot, mk_cfg
+from helpers import brute_force_slot, mk_cfg, td_step
 
 SEEDS = 5
 MU_VALUES = (15.0, 30.0, 45.0, 60.0, 80.0)
@@ -36,21 +36,17 @@ MU_VALUES = (15.0, 30.0, 45.0, 60.0, 80.0)
 
 @pytest.fixture(scope="module")
 def method_runs():
-    """Reference configuration, all methods x 5 seeds; reports only."""
-    cfg = ScenarioConfig()
-    return {m: [train(with_seed(cfg, s), m).report for s in range(SEEDS)]
-            for m in METHODS}
+    """Reference configuration, all methods x 5 seeds in lockstep; reports only."""
+    results = compare_methods(ScenarioConfig(), SEEDS)
+    return {m: [res.report for res in results[m]] for m in METHODS}
 
 
 @pytest.fixture(scope="module")
 def sweep_runs():
-    """Priority-weight sweep, 5 seeds per value, annealed condenser."""
-    cfg = ScenarioConfig()
-    out = {}
-    for mu in MU_VALUES:
-        c = dataclasses.replace(cfg, mu_pr=mu)
-        out[mu] = [train(with_seed(c, s), "qa").report.eval_outage["priority"]
-                   for s in range(SEEDS)]
+    """Priority-weight sweep, 5 seeds per value, annealed condenser, in lockstep."""
+    out = {mu: [] for mu in MU_VALUES}
+    for row in sweep_mu(ScenarioConfig(), MU_VALUES, SEEDS, "qa"):
+        out[row["mu_pr"]].append(row["priority"])
     return out
 
 
@@ -153,15 +149,15 @@ def test_criterion_08_q_learning_chain_oracle():
     cfg = dataclasses.replace(mk_cfg(), alpha_q=0.5, zeta=0.9)
     cents = np.column_stack([200.0 * np.arange(5), np.zeros(5)])
     graph = build_adjacency(cents, cfg)
-    space = ActionSpace(graph, cfg)
+    feasible = feasible_table(graph, cfg)
     goal = 4
     reward_of = lambda a: 0.0 if a == goal else -1.0
 
-    q = QTable(graph)
+    q = np.zeros((5, 5))
     pairs = [(s, int(a)) for s in range(5) for a in graph.neighbors[s]]
     for k in range(10_000):
         s, a = pairs[k % len(pairs)]
-        td_update(q, s, a, reward_of(a), a, cfg, space)
+        td_step(q, s, a, reward_of(a), a, cfg, feasible)
 
     v = np.zeros(5)
     for _ in range(5000):
@@ -173,8 +169,9 @@ def test_criterion_08_q_learning_chain_oracle():
     for s in range(5):
         q_star = np.array([reward_of(int(a)) + cfg.zeta * v[int(a)]
                            for a in graph.neighbors[s]])
-        assert np.abs(q.values[s] - q_star).max() <= 1e-6, f"state {s}"
-        assert int(np.argmax(q.values[s])) == int(np.argmax(q_star)), f"state {s}"
+        vals = q[s, graph.neighbors[s]]
+        assert np.abs(vals - q_star).max() <= 1e-6, f"state {s}"
+        assert int(np.argmax(vals)) == int(np.argmax(q_star)), f"state {s}"
 
 
 def test_criterion_09_constraint_audit_clean(method_runs):

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absim.condense import (accept, build_adjacency, distortion, kmeans_condense,
-                            propose, qa_condense, snr_proxy, snrp_condense,
-                            virtual_edge_set)
+                            qa_condense, snr_proxy, snrp_condense)
 from absim.scenario import drop_users, generate_candidates, rng_stream, user_arrays
-from helpers import mk_cfg
+from helpers import greedy_bridge_adjacency, mk_cfg, propose
 
 
 def test_distortion_hand_values():
@@ -206,7 +205,7 @@ def test_adjacency_threshold_inclusive_path():
     cents = np.array([[0.0, 0.0], [r, 0.0], [2 * r, 0.0]])
     graph = build_adjacency(cents, cfg)
     assert [(i, j) for i, j, v in graph.edges if not v] == [(0, 1), (1, 2)]
-    assert not virtual_edge_set(graph)
+    assert not [e for e in graph.edges if e[2]]
     assert graph.neighbors[0].tolist() == [0, 1]
     assert graph.neighbors[1].tolist() == [0, 1, 2]
 
@@ -216,7 +215,7 @@ def test_adjacency_bridges_disconnected_pair():
     cents = np.array([[0.0, 0.0], [5 * cfg.move_radius_m(), 0.0]])
     graph = build_adjacency(cents, cfg)
     assert graph.edges == [(0, 1, True)]
-    assert virtual_edge_set(graph) == {(0, 1)}
+    assert [(i, j) for i, j, v in graph.edges if v] == [(0, 1)]
 
 
 def test_adjacency_matches_pairwise_oracle():
@@ -229,6 +228,56 @@ def test_adjacency_matches_pairwise_oracle():
             if np.linalg.norm(cents[i] - cents[j]) <= r}
     got = {(i, j) for i, j, v in graph.edges if not v}
     assert got == want
+
+
+def _assert_matches_greedy_reference(graph, cfg):
+    edges, neighbors = greedy_bridge_adjacency(graph.centroids, cfg)
+    assert graph.edges == edges
+    assert [nb.tolist() for nb in graph.neighbors] == [nb.tolist() for nb in neighbors]
+
+
+@pytest.mark.parametrize("method", ["qa", "kmeans", "snrp"])
+def test_adjacency_matches_greedy_bridging_over_seeds(method):
+    # M = 10 on the reference area leaves most centroids out of one slot's
+    # reach, so nearly every graph needs several virtual bridges
+    bridged = 0
+    for seed in range(50):
+        cfg = mk_cfg(seed=seed)
+        nodes = generate_candidates(cfg).nodes
+        if method == "qa":
+            graph = qa_condense(nodes, cfg)
+        elif method == "kmeans":
+            graph = kmeans_condense(nodes, cfg)
+        else:
+            xy, mask = user_arrays(drop_users(cfg))
+            graph = snrp_condense(nodes, xy, mask, cfg)
+        _assert_matches_greedy_reference(graph, cfg)
+        bridged += any(v for _, _, v in graph.edges)
+    assert bridged >= 40
+
+
+@pytest.mark.parametrize("spacing,shape", [(300.0, (3, 3)), (260.0, (4, 2)),
+                                           (500.0, (5, 1)), (250.0, (3, 3))])
+def test_adjacency_equidistant_ties_match_greedy_bridging(spacing, shape):
+    # lattice points: many cross-component pairs share the exact same d^2
+    cfg = mk_cfg()
+    gx, gy = np.meshgrid(spacing * np.arange(shape[0]), spacing * np.arange(shape[1]))
+    cents = np.column_stack([gx.ravel(), gy.ravel()])
+    _assert_matches_greedy_reference(build_adjacency(cents, cfg), cfg)
+    rng = np.random.default_rng(int(spacing))
+    for _ in range(20):
+        shuffled = cents[rng.permutation(len(cents))]
+        _assert_matches_greedy_reference(build_adjacency(shuffled, cfg), cfg)
+
+
+def test_adjacency_integer_clouds_match_greedy_bridging():
+    # coordinates on a 100 m lattice give equal squared distances everywhere
+    cfg = mk_cfg()
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(2, 16))
+        cents = 100.0 * rng.integers(0, 15, (n, 2))
+        _assert_matches_greedy_reference(build_adjacency(cents, cfg), cfg)
 
 
 def _connected(graph):

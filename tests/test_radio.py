@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absim.channel import ChannelParams, link_matrix, sample_fading
 from absim.radio import (LinkState, associate, db_to_linear, dbm_to_watt,
-                         evaluate_slot, interference, outage_stats, rate_bps,
-                         sinr, tx_power_dbm, watt_to_dbm)
+                         evaluate_slot, outage_stats, rate_bps, tx_power_dbm,
+                         watt_to_dbm)
 from absim.scenario import rng_stream
-from helpers import brute_force_slot, mk_cfg
+from helpers import brute_force_slot, interference, mk_cfg, sinr
 
 
 def test_dbm_watt_conversions():
@@ -101,6 +103,36 @@ def test_slot_pipeline_equals_brute_force():
         assert np.allclose(state.interference_w, interf, rtol=1e-12, atol=1e-300)
         assert np.allclose(state.sinr, snr, rtol=1e-12, atol=0)
         assert np.array_equal(state.outage, out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_worlds=st.integers(1, 4), n_users=st.integers(1, 40), n_uav=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), with_prev=st.booleans())
+def test_batched_slot_equals_per_world_calls(n_worlds, n_users, n_uav, seed, with_prev):
+    cfg = mk_cfg()
+    rng = np.random.default_rng(seed)
+    pairs = [_random_instance(rng, cfg, n_users, n_uav) for _ in range(n_worlds)]
+    loss = np.stack([lo for lo, _ in pairs])
+    fading = np.stack([fa for _, fa in pairs])
+    prev = rng.integers(0, n_uav, (n_worlds, n_users)) if with_prev else None
+    # a users-contiguous layout too: summing users along a contiguous axis
+    # would switch numpy to pairwise sums and change the interference bits
+    swapped = [np.ascontiguousarray(a.swapaxes(1, 2)).swapaxes(1, 2) for a in (loss, fading)]
+    for batched in (evaluate_slot(loss, fading, prev, cfg), evaluate_slot(*swapped, prev, cfg)):
+        for k in range(n_worlds):
+            solo = evaluate_slot(loss[k], fading[k], None if prev is None else prev[k], cfg)
+            for name in ("gains", "tx_power_w", "serving_prev", "assoc", "interference_w",
+                         "sinr", "rate_bps", "outage"):
+                got, want = getattr(batched, name)[k], getattr(solo, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    # and that order is user by user: each ABS's interference equals a
+    # left-to-right sum over the users served elsewhere, bit for bit
+    for k in range(n_worlds):
+        p_w, gains, assoc = (batched.tx_power_w[k].tolist(), batched.gains[k].tolist(),
+                             batched.assoc[k].tolist())
+        for i, n in enumerate(assoc):
+            want = sum(p_w[j] * gains[j][n] for j in range(n_users) if assoc[j] != n)
+            assert batched.interference_w[k, i] == want
 
 
 def test_first_slot_serves_strongest_large_scale():

@@ -1,15 +1,18 @@
 """Q-learning pieces: action sets, selection, reward, TD backups, snapshots."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from absim.condense import build_adjacency
 from absim.radio import outage_counts
-from absim.rl import (ActionSpace, QTable, export_qtables, feasible_actions,
-                      load_qtables, reward, select_action, td_update)
+from absim.rl import (export_qtables, feasible_table, load_qtables, move_table, reward,
+                      select_action)
 from absim.scenario import rng_stream
-from helpers import brute_force_reward, mk_cfg
+from absim.sim import train
+from helpers import brute_force_reward, feasible_actions, mk_cfg, td_step
 
 
 def _chain(n, spacing=200.0):
@@ -17,73 +20,133 @@ def _chain(n, spacing=200.0):
     cfg = mk_cfg()
     cents = np.column_stack([spacing * np.arange(n), np.zeros(n)])
     graph = build_adjacency(cents, cfg)
-    return cfg, graph, ActionSpace(graph, cfg)
+    return cfg, graph, feasible_table(graph, cfg)
+
+
+def _select(q, s, eps, rng, feasible):
+    """select_action for one UAV of one world, on its (M, M) table q."""
+    moves, n_moves = move_table(feasible)
+    actions = select_action(q[None, None], np.array([[s]]), eps, [rng], feasible[None],
+                            [moves.tolist()], [n_moves.tolist()])
+    return int(actions[0, 0])
 
 
 def test_qtable_shapes_follow_adjacency():
-    _, graph, _ = _chain(4)
-    q = QTable(graph)
-    assert [len(v) for v in q.values] == [len(nb) for nb in graph.neighbors]
-    assert q.lookup(1, 2, graph) == 0.0
+    cfg, graph, feasible = _chain(4)
+    q = np.zeros((cfg.n_uav, graph.n_centroids, graph.n_centroids))
+    assert feasible.sum(axis=1).tolist() == [len(nb) for nb in graph.neighbors]
+    assert (feasible <= graph.adjacency()).all()
+    assert q[0, 1, 2] == 0.0
 
 
 def test_feasible_actions_chain_interior():
-    cfg, graph, _ = _chain(4)
-    assert feasible_actions(graph, 1, cfg).tolist() == [0, 1, 2]
-    assert feasible_actions(graph, 0, cfg).tolist() == [0, 1]
+    cfg, graph, feasible = _chain(4)
+    assert np.flatnonzero(feasible[1]).tolist() == [0, 1, 2]
+    assert np.flatnonzero(feasible[0]).tolist() == [0, 1]
 
 
 def test_feasible_actions_bridged_node():
     cfg = mk_cfg()
     cents = np.array([[0.0, 0.0], [4000.0, 0.0]])
     graph = build_adjacency(cents, cfg)
+    feasible = feasible_table(graph, cfg)
     # far pair joined only by the virtual corridor: still mutually reachable
-    assert feasible_actions(graph, 0, cfg).tolist() == [0, 1]
-    assert feasible_actions(graph, 1, cfg).tolist() == [0, 1]
+    assert np.flatnonzero(feasible[0]).tolist() == [0, 1]
+    assert np.flatnonzero(feasible[1]).tolist() == [0, 1]
 
 
 def test_feasible_actions_shrunken_radius_leaves_hover():
     cfg, graph, _ = _chain(4)
     import dataclasses
     slow = dataclasses.replace(cfg, v_max_mps=1.0, delta_t_s=1.0)
-    assert feasible_actions(graph, 1, slow).tolist() == [1]
+    assert np.flatnonzero(feasible_table(graph, slow)[1]).tolist() == [1]
+
+
+@pytest.mark.parametrize("radius_scale", [0.5, 1.0, 3.0])
+def test_feasible_table_matches_per_state_loop(radius_scale):
+    import dataclasses
+    rng = np.random.default_rng(int(10 * radius_scale))
+    for _ in range(30):
+        cfg = mk_cfg()
+        graph = build_adjacency(rng.uniform(0, cfg.x_max, (12, 2)), cfg)
+        cfg = dataclasses.replace(cfg, v_max_mps=cfg.v_max_mps * radius_scale)
+        feasible = feasible_table(graph, cfg)
+        moves, n_moves = move_table(feasible)
+        for s in range(graph.n_centroids):
+            want = feasible_actions(graph, s, cfg).tolist()
+            assert np.flatnonzero(feasible[s]).tolist() == want
+            assert moves[s].tolist() == want + [-1] * (graph.n_centroids - len(want))
+            assert n_moves[s] == len(want)
 
 
 def test_select_action_greedy_and_ties():
-    cfg, graph, space = _chain(3)
-    q = QTable(graph)
+    cfg, graph, feasible = _chain(3)
+    q = np.zeros((3, 3))
     rng = rng_stream(0, "egreedy")
-    q.values[1][:] = [1.0, 5.0, 3.0]
-    assert select_action(q, 1, 0.0, rng, space) == graph.neighbors[1][1]
-    q.values[1][:] = 2.0
-    assert select_action(q, 1, 0.0, rng, space) == graph.neighbors[1][0]
+    q[1, graph.neighbors[1]] = [1.0, 5.0, 3.0]
+    assert _select(q, 1, 0.0, rng, feasible) == graph.neighbors[1][1]
+    q[1, graph.neighbors[1]] = 2.0
+    assert _select(q, 1, 0.0, rng, feasible) == graph.neighbors[1][0]
 
 
 def test_select_action_greedy_invariant_to_q_offset():
-    cfg, graph, space = _chain(3)
-    q = QTable(graph)
+    cfg, graph, feasible = _chain(3)
+    q = np.zeros((3, 3))
     rng = rng_stream(1, "egreedy")
-    q.values[1][:] = [-3.0, 0.5, -1.0]
-    a = select_action(q, 1, 0.0, rng, space)
-    q.values[1][:] += 100.0
-    assert select_action(q, 1, 0.0, rng, space) == a
+    q[1, graph.neighbors[1]] = [-3.0, 0.5, -1.0]
+    a = _select(q, 1, 0.0, rng, feasible)
+    q[1, graph.neighbors[1]] += 100.0
+    assert _select(q, 1, 0.0, rng, feasible) == a
 
 
 def test_select_action_explores_uniformly():
-    cfg, graph, space = _chain(3)
-    q = QTable(graph)
+    cfg, graph, feasible = _chain(3)
+    q = np.zeros((3, 3))
     rng = rng_stream(2, "egreedy")
     counts = {0: 0, 1: 0, 2: 0}
     for _ in range(3000):
-        counts[select_action(q, 1, 1.0, rng, space)] += 1
+        counts[_select(q, 1, 1.0, rng, feasible)] += 1
     got = stats.chisquare(list(counts.values()))
     assert got.pvalue > 1e-3
+
+
+def test_select_action_lockstep_matches_per_uav_loop():
+    # every world explores with its own stream in UAV order; greedy picks the
+    # first maximum among the feasible moves and ignores off-graph entries
+    cfg = mk_cfg()
+    rng = np.random.default_rng(3)
+    n_worlds, n_uav, m = 3, 4, 9
+    feasible, moves, n_moves = [], [], []
+    for _ in range(n_worlds):
+        f = feasible_table(build_adjacency(rng.uniform(0, 900, (m, 2)), cfg), cfg)
+        mv, nm = move_table(f)
+        feasible.append(f)
+        moves.append(mv.tolist())
+        n_moves.append(nm.tolist())
+    feasible = np.stack(feasible)
+    q = rng.integers(-3, 3, (n_worlds, n_uav, m, m)).astype(float)   # many ties
+    for eps in (0.0, 0.5, 1.0):
+        for step in range(20):
+            states = rng.integers(0, m, (n_worlds, n_uav))
+            streams = [rng_stream(100 * step + k, "egreedy") for k in range(n_worlds)]
+            got = select_action(q, states, eps, streams, feasible, moves, n_moves)
+            for k in range(n_worlds):
+                ref = rng_stream(100 * step + k, "egreedy")
+                for u in range(n_uav):
+                    s = states[k, u]
+                    ok = np.flatnonzero(feasible[k, s])
+                    if eps > 0.0 and ref.random() < eps:
+                        want = ok[ref.integers(len(ok))]
+                    else:
+                        want = ok[int(np.argmax(q[k, u, s, ok]))]
+                    assert got[k, u] == want
+                assert ref.random() == streams[k].random()   # same draws consumed
 
 
 def _rewards(assoc, outage, priority_mask, cfg, n_uav=3):
     counts = outage_counts(np.asarray(assoc), np.asarray(outage),
                            np.asarray(priority_mask), n_uav)
-    return counts, reward(counts, cfg)
+    return counts, reward(counts, cfg.mu_pr, cfg.mu_nr)
 
 
 def test_reward_zero_without_outage():
@@ -129,25 +192,35 @@ def test_reward_never_positive():
 
 def test_td_update_hand_step():
     import dataclasses
-    cfg, graph, space = _chain(3)
+    cfg, graph, feasible = _chain(3)
     cfg = dataclasses.replace(cfg, alpha_q=0.5, zeta=0.9)
-    q = QTable(graph)
-    q.values[2][:] = [0.0, 4.0]                # state 2 neighbors: [1, 2]
-    new = td_update(q, 1, 2, -1.0, 2, cfg, space)
+    q = np.zeros((3, 3))
+    q[2, graph.neighbors[2]] = [0.0, 4.0]      # state 2 neighbors: [1, 2]
+    new = td_step(q, 1, 2, -1.0, 2, cfg, feasible)
     assert new == pytest.approx(0.5 * (-1.0 + 0.9 * 4.0))
-    assert q.lookup(1, 2, graph) == pytest.approx(new)
+    assert q[1, 2] == pytest.approx(new)
 
 
 def test_td_update_degenerate_rates():
     import dataclasses
-    cfg, graph, space = _chain(3)
-    q = QTable(graph)
+    cfg, graph, feasible = _chain(3)
+    q = np.zeros((3, 3))
     myopic = dataclasses.replace(cfg, alpha_q=1.0, zeta=0.0)
-    assert td_update(q, 0, 1, -7.0, 1, myopic, space) == -7.0
+    assert td_step(q, 0, 1, -7.0, 1, myopic, feasible) == -7.0
     frozen = dataclasses.replace(cfg, alpha_q=1e-300)   # effectively no step
-    before = q.lookup(1, 0, graph)
-    td_update(q, 1, 0, -5.0, 0, frozen, space)
-    assert q.lookup(1, 0, graph) == pytest.approx(before)
+    before = q[1, 0]
+    td_step(q, 1, 0, -5.0, 0, frozen, feasible)
+    assert q[1, 0] == pytest.approx(before)
+
+
+def test_td_update_hover_reads_old_value():
+    # s' = s: the bootstrap max includes the entry being written, read first
+    import dataclasses
+    cfg, graph, feasible = _chain(3)
+    cfg = dataclasses.replace(cfg, alpha_q=0.5, zeta=0.9)
+    q = np.zeros((3, 3))
+    q[1, 1] = 10.0
+    assert td_step(q, 1, 1, 0.0, 1, cfg, feasible) == 0.5 * 10.0 + 0.5 * (0.9 * 10.0)
 
 
 def _value_iteration(graph, cfg, reward_of):
@@ -166,39 +239,38 @@ def _value_iteration(graph, cfg, reward_of):
 
 def test_chain_mdp_matches_value_iteration():
     import dataclasses
-    cfg, graph, space = _chain(3)
+    cfg, graph, feasible = _chain(3)
     cfg = dataclasses.replace(cfg, alpha_q=0.5, zeta=0.9)
     goal = graph.n_centroids - 1
     reward_of = lambda a: 0.0 if a == goal else -1.0
 
-    q = QTable(graph)
+    q = np.zeros((3, 3))
     for _ in range(300):
         for s in range(graph.n_centroids):
             for a in graph.neighbors[s]:
-                td_update(q, s, int(a), reward_of(int(a)), int(a), cfg, space)
+                td_step(q, s, int(a), reward_of(int(a)), int(a), cfg, feasible)
 
     _, q_star = _value_iteration(graph, cfg, reward_of)
     for s in range(graph.n_centroids):
-        assert np.allclose(q.values[s], q_star[s], atol=1e-9)
-        greedy = graph.neighbors[s][int(np.argmax(q.values[s]))]
+        vals = q[s, graph.neighbors[s]]
+        assert np.allclose(vals, q_star[s], atol=1e-9)
+        greedy = graph.neighbors[s][int(np.argmax(vals))]
         oracle = graph.neighbors[s][int(np.argmax(q_star[s]))]
         assert greedy == oracle
-        assert np.abs(q.values[s]).max() <= 1.0 / (1.0 - cfg.zeta) + 1e-9
+        assert np.abs(vals).max() <= 1.0 / (1.0 - cfg.zeta) + 1e-9
 
 
 def test_qtable_export_import_roundtrip(tmp_path):
     cfg, graph, _ = _chain(4)
     rng = np.random.default_rng(1)
-    tables = [QTable(graph) for _ in range(2)]
+    tables = np.zeros((2, 4, 4))
     for q in tables:
-        for s in range(graph.n_centroids):
-            q.values[s][:] = rng.normal(size=len(q.values[s]))
+        for s, nb in enumerate(graph.neighbors):
+            q[s, nb] = rng.normal(size=len(nb))
     path = tmp_path / "q.csv"
     export_qtables(path, tables, graph)
     loaded = load_qtables(path, graph, n_uav=2)
-    for q, l in zip(tables, loaded):
-        for vs, ls in zip(q.values, l.values):
-            assert np.array_equal(vs, ls)      # repr round-trip is exact
+    assert np.array_equal(tables, loaded)      # repr round-trip is exact
 
 
 @pytest.mark.parametrize("mutation,complaint", [
@@ -214,8 +286,28 @@ def test_qtable_export_import_roundtrip(tmp_path):
 def test_qtable_import_rejects_corruption(tmp_path, mutation, complaint):
     cfg, graph, _ = _chain(4)
     path = tmp_path / "q.csv"
-    export_qtables(path, [QTable(graph) for _ in range(2)], graph)
+    export_qtables(path, np.zeros((2, 4, 4)), graph)
     lines = path.read_text().strip().split("\n")
     path.write_text("\n".join(mutation(lines)) + "\n")
     with pytest.raises(ValueError, match=complaint):
         load_qtables(path, graph, n_uav=2)
+
+
+# sha256 of qtable.csv after train() at unit-test size, recorded from the
+# per-UAV QTable implementation under numpy 2.4.6
+QTABLE_DIGESTS = [
+    ("qa", dict(seed=0), "5383a24e891d3268cbc9cb93d9d15ddba9923434aa1eefd5c695a4eb3fe2835f"),
+    ("kmeans", dict(seed=1), "2698df299d8e970b2d58ee1ece372439f58c4979d167818ed9a168a61cf98c9b"),
+    ("snrp", dict(seed=2, uav_start="random", n_uav=4),
+     "03bf11ba637b25e36e3a17725384082d4e62d8fcad88a12bd76ad6733037160b"),
+]
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason=f"digests recorded under numpy 2.4.6, running {np.__version__}")
+@pytest.mark.parametrize("method,overrides,digest", QTABLE_DIGESTS,
+                         ids=[m for m, _, _ in QTABLE_DIGESTS])
+def test_qtable_export_bytes_match_golden(method, overrides, digest, tmp_path):
+    res = train(mk_cfg(**overrides), method)
+    export_qtables(tmp_path / "qtable.csv", res.qtables, res.world.graph)
+    assert hashlib.sha256((tmp_path / "qtable.csv").read_bytes()).hexdigest() == digest

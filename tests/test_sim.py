@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from absim.channel import ChannelParams, link_matrix, sample_fading
 from absim.condense import CondensedGraph
 from absim.scenario import config_hash
-from absim.sim import (AUDIT_KEYS, METHODS, _audit_moves, build_world, compare_methods,
-                       condense_graph, evaluate_policy, make_world, report_to_dict,
-                       run_dir, start_states, sweep_mu, train, with_seed,
+from absim.sim import (AUDIT_KEYS, METHODS, Lockstep, _audit_moves, build_world,
+                       compare_methods, condense_graph, evaluate_policy, make_world,
+                       report_to_dict, run_dir, start_states, sweep_mu, train,
+                       train_lockstep, with_seed,
                        write_centroids_csv, write_compare_learning_curves_csv,
                        write_edges_csv, write_learning_curve_csv, write_outage_csv,
                        write_report_json, write_summary_md, write_sweep_csv,
@@ -30,9 +31,10 @@ def test_build_world_wiring():
     assert world.users_xy.shape == (cfg.n_users, 2)
     assert world.priority_mask.sum() == cfg.n_priority()
     assert condense_time >= 0.0
-    for s in range(world.graph.n_centroids):
-        assert len(world.space.actions(s)) >= 1
     m = cfg.n_centroids
+    assert world.feasible.shape == (m, m)
+    for s in range(world.graph.n_centroids):
+        assert world.feasible[s].sum() >= 1
     assert world.loss_db.shape == (cfg.n_users, m)
     assert world.is_neighbor.shape == world.move_ok.shape == (m, m)
     assert world.is_neighbor.diagonal().all() and world.move_ok.diagonal().all()
@@ -88,18 +90,31 @@ def test_audit_moves_counts_each_violation():
              (3, 4), (4, 3),            # edge longer than the move radius
              (2, 3), (3, 2),            # along the virtual corridor
              (1, 1), (1, 0), (1, 2)]    # hover and legal steps
-    audit = dict.fromkeys(AUDIT_KEYS, 0)
-    _audit_moves(world, [s for s, _ in moves], [a for _, a in moves], audit)
+    counts = np.zeros((1, len(AUDIT_KEYS)), dtype=int)
+    _audit_moves(Lockstep([world]), np.array([[s for s, _ in moves]]),
+                 np.array([[a for _, a in moves]]), counts)
+    audit = dict(zip(AUDIT_KEYS, counts[0].tolist()))
     assert audit == {"waypoint_off_graph": 1, "move_not_neighbor": 2,
                      "move_too_fast": 3, "altitude_out_of_band": 0,
                      "power_above_cap": 0}
 
     # a negative target must not wrap around to the last centroid
     high = dataclasses.replace(world, cfg=dataclasses.replace(cfg, altitude_m=400.0))
-    _audit_moves(high, [1], [-1], audit)
+    _audit_moves(Lockstep([high]), np.array([[1]]), np.array([[-1]]), counts)
+    audit = dict(zip(AUDIT_KEYS, counts[0].tolist()))
     assert audit == {"waypoint_off_graph": 2, "move_not_neighbor": 2,
                      "move_too_fast": 3, "altitude_out_of_band": 1,
                      "power_above_cap": 0}
+
+
+def test_audit_moves_counts_per_world():
+    cfg = mk_cfg()
+    world = _bridged_chain_world(cfg)
+    counts = np.zeros((3, len(AUDIT_KEYS)), dtype=int)
+    states = np.array([[0, 1], [3, 0], [1, 1]])
+    actions = np.array([[1, 2], [4, 7], [1, -2]])   # legal | too fast, off | off
+    _audit_moves(Lockstep([world] * 3), states, actions, counts)
+    assert counts.tolist() == [[0, 0, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 0, 0]]
 
 
 def test_unknown_method_rejected():
@@ -176,6 +191,56 @@ def test_embedded_eval_equals_standalone():
     assert ev.outage == res.report.eval_outage            # exact: same streams
     assert ev.mean_rate_bps == res.report.eval_mean_rate_bps
     assert ev.trajectory == res.report.eval_trajectory
+
+
+def _report_bytes(report, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    write_report_json(path, report)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(uav_start="random", n_uav=4)],
+                         ids=["spread", "random-start-4uav"])
+def test_compare_methods_equals_solo_train(overrides, tmp_path):
+    # 3 methods x 3 seeds in one lockstep batch, each byte-equal to its solo run
+    cfg = mk_cfg(seed=2, **overrides)
+    results = compare_methods(cfg, n_seeds=3)
+    for m in METHODS:
+        for i, res in enumerate(results[m]):
+            solo = train(with_seed(cfg, cfg.seed + i), m)
+            assert (_report_bytes(res.report, tmp_path, "batch")
+                    == _report_bytes(solo.report, tmp_path, "solo")), (m, i)
+            assert np.array_equal(res.qtables, solo.qtables)
+            assert [r.trajectory for r in res.episodes] == [r.trajectory for r in solo.episodes]
+
+
+def test_sweep_mu_equals_solo_train(tmp_path):
+    cfg = mk_cfg()
+    mus, seeds = [15.0, 60.0], 2
+    rows = sweep_mu(cfg, mus, n_seeds=seeds)
+    jobs = [(dataclasses.replace(cfg, mu_pr=mu, seed=cfg.seed + i), "qa")
+            for mu in mus for i in range(seeds)]
+    for row, (c, _), res in zip(rows, jobs, train_lockstep(jobs)):
+        solo = train(c, "qa").report
+        assert (_report_bytes(res.report, tmp_path, "batch")
+                == _report_bytes(solo, tmp_path, "solo"))
+        assert (row["mu_pr"], row["seed"]) == (c.mu_pr, c.seed)
+        assert [row[k] for k in ("priority", "regular", "network")] == \
+            [solo.eval_outage[k] for k in ("priority", "regular", "network")]
+
+
+def test_lockstep_splits_wall_time_evenly():
+    results = train_lockstep([(with_seed(mk_cfg(), s), "kmeans") for s in range(3)])
+    assert len({r.report.rl_time_s for r in results}) == 1
+    assert len({r.report.eval_time_s for r in results}) == 1
+    assert results[0].report.rl_time_s > 0.0
+
+
+def test_lockstep_rejects_worlds_of_different_shape():
+    a, _ = build_world(mk_cfg(), "kmeans")
+    b, _ = build_world(mk_cfg(n_users=20), "kmeans")
+    with pytest.raises(ValueError, match="may differ only in"):
+        Lockstep([a, b])
 
 
 def test_compare_methods_seeds_offset():
