@@ -14,7 +14,7 @@ from absim.scenario import ScenarioConfig, generate_candidates, rng_stream
 cfg = ScenarioConfig()
 nodes = generate_candidates(cfg).nodes
 
-graph = qa_condense(nodes, cfg, rng_stream(cfg.seed, "condense"), record_trace=True)
+graph = qa_condense(nodes, cfg, rng_stream(cfg.seed, "condense"))
 tr = graph.trace
 steps = len(tr["temperature"])
 per_temp = cfg.proposals_per_temp or cfg.n_centroids

@@ -17,7 +17,7 @@ import numpy as np
 
 from .scenario import ScenarioConfig, ConfigError, config_hash, load_config
 from .sim import (METHODS, build_world, compare_methods, evaluate_policy, run_dir,
-                  sweep_mu, train, write_centroids_csv,
+                  sweep_mu, train, write_anneal_trace_csv, write_centroids_csv,
                   write_compare_learning_curves_csv, write_edges_csv,
                   write_learning_curve_csv, write_outage_csv, write_report_json,
                   write_summary_md, write_sweep_csv, write_timings_json,
@@ -107,6 +107,8 @@ def cmd_condense(args) -> int:
     world, condense_time = build_world(cfg, args.method)
     write_centroids_csv(os.path.join(out, "centroids.csv"), world.graph)
     write_edges_csv(os.path.join(out, "edges.csv"), world.graph)
+    if world.graph.trace is not None:
+        write_anneal_trace_csv(os.path.join(out, "anneal_trace.csv"), world.graph.trace)
     write_timings_json(os.path.join(out, "timings.json"),
                        {"condense_s": condense_time,
                         "total_s": time.perf_counter() - t0})

@@ -40,7 +40,7 @@ class CondensedGraph:
     method: str
     distortion: float            # final clustering distortion vs candidates
     init_distortion: float | None = None
-    trace: dict | None = None    # annealing diagnostics, optional
+    trace: dict | None = None    # annealing diagnostics (qa only)
 
     @property
     def n_centroids(self) -> int:
@@ -132,8 +132,7 @@ def _apply_move(dist2, d1, i1, d2, i2, m, col, served):
 
 
 def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig,
-                rng: np.random.Generator | None = None,
-                record_trace: bool = False) -> CondensedGraph:
+                rng: np.random.Generator | None = None) -> CondensedGraph:
     """Anneal M centroids against clustering distortion; return best seen.
 
     Each temperature step runs cfg.proposals_per_temp single-centroid
@@ -141,7 +140,9 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig,
     Distortion deltas are exact but evaluated incrementally: alongside the
     candidate-to-centroid distance matrix we cache each candidate's two
     nearest centroids, so a trial costs a handful of flat vector passes
-    and per-row rescans happen only when a move is accepted.
+    and per-row rescans happen only when a move is accepted. The graph's
+    trace holds, per temperature step, the temperature after cooling, the
+    current and best distortion and the running count of accepted moves.
     """
     if rng is None:
         rng = rng_stream(cfg.seed, "condense")
@@ -165,7 +166,6 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig,
 
     temp = cfg.anneal_t0
     per_temp = cfg.proposals_per_temp or m_cent
-    best_hist = [best]
     tr_temp, tr_cur, tr_best, tr_acc = [], [], [], []
     n_acc = 0
 
@@ -194,26 +194,21 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig,
                     best_c = centroids.copy()
         temp *= cfg.anneal_rho
         steps += 1
-        best_hist.append(best)
-        if record_trace:
-            tr_temp.append(temp)
-            tr_cur.append(cur)
-            tr_best.append(best)
-            tr_acc.append(n_acc)
-        if steps > STOP_WINDOW and best_hist[-1 - STOP_WINDOW] - best < STOP_TOL:
+        tr_temp.append(temp)
+        tr_cur.append(cur)
+        tr_best.append(best)
+        tr_acc.append(n_acc)
+        if steps > STOP_WINDOW and tr_best[-1 - STOP_WINDOW] - best < STOP_TOL:
             break
 
-    trace = None
-    if record_trace:
-        trace = {
-            "temperature": np.array(tr_temp),
-            "current": np.array(tr_cur),
-            "best": np.array(tr_best),
-            "accepted": np.array(tr_acc),
-        }
     graph = build_adjacency(best_c, cfg, method="qa", dist=best)
     graph.init_distortion = init
-    graph.trace = trace
+    graph.trace = {
+        "temperature": np.array(tr_temp),
+        "current": np.array(tr_cur),
+        "best": np.array(tr_best),
+        "accepted": np.array(tr_acc),
+    }
     return graph
 
 

@@ -42,8 +42,15 @@ class LinkState:
     assoc: np.ndarray        # (n_users,) ABS serving this slot
     interference_w: np.ndarray  # (n_users,) inter-cell power at the serving ABS
     sinr: np.ndarray         # (n_users,) linear
-    rate_bps: np.ndarray     # (n_users,)
     outage: np.ndarray       # (n_users,) bool, sinr below threshold
+
+
+class LinkTables(NamedTuple):
+    """Per-world tables of every user-to-centroid link, (..., n_users, M)."""
+
+    loss_db: np.ndarray      # large-scale loss
+    gain: np.ndarray         # linear gain 10^(-L/10), fading excluded
+    power_w: np.ndarray      # capped open-loop transmit power toward the centroid
 
 
 class RadioConstants(NamedTuple):
@@ -68,17 +75,23 @@ def radio_constants(cfg: ScenarioConfig) -> RadioConstants:
     return _radio_constants(cfg.noise_dbm, cfg.gamma_th_db, cfg.n_rb, cfg.p_max_dbm)
 
 
-def _open_loop_dbm(pl: np.ndarray, cfg: ScenarioConfig, rb_offset_db) -> np.ndarray:
-    return np.minimum(cfg.p_max_dbm, cfg.p0_dbm + cfg.alpha_ol * pl + rb_offset_db)
-
-
 def tx_power_dbm(pl_serving_db, cfg: ScenarioConfig):
     """Open-loop power control, capped at p_max_dbm; vectorized."""
-    p = _open_loop_dbm(np.asarray(pl_serving_db, dtype=float), cfg,
-                       radio_constants(cfg).rb_offset_db)
+    pl = np.asarray(pl_serving_db, dtype=float)
+    p = np.minimum(cfg.p_max_dbm,
+                   cfg.p0_dbm + cfg.alpha_ol * pl + radio_constants(cfg).rb_offset_db)
     if np.isscalar(pl_serving_db):
         return float(p)
     return p
+
+
+def link_tables(loss_db: np.ndarray, cfg: ScenarioConfig) -> LinkTables:
+    """Gain and open-loop power of every link in a loss table, built once per
+    world: a slot gathers its fleet's columns, elementwise the same floats as
+    converting the gathered losses."""
+    loss = np.ascontiguousarray(loss_db, dtype=float)
+    return LinkTables(loss_db=loss, gain=db_to_linear(-loss),
+                      power_w=dbm_to_watt(tx_power_dbm(loss, cfg)))
 
 
 def associate(rx_power_w: np.ndarray) -> np.ndarray:
@@ -91,40 +104,44 @@ def rate_bps(sinr_lin, bandwidth_hz: float):
 
 
 @lru_cache(maxsize=16)
-def _flat_offsets(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Flat offsets of every user's row and every world's per-ABS row of a
-    C-contiguous (..., n_users, n_uav) array: a gather at offset + index
-    picks one entry per row at any batch shape. Read-only, as they are
+def _flat_offsets(lead: tuple, n_users: int, m: int, n_uav: int):
+    """Flat offsets that turn per-row indices into gathers from C-contiguous
+    arrays, at any leading (world) shape: each (world, user) row of an
+    (..., n_users, M) table, of an (..., n_users, n_uav) link array, and
+    each world's row of an (..., n_uav) array. Read-only, as they are
     shared between calls."""
-    n_users, n_uav = shape[-2:]
-    size = math.prod(shape)
-    rows = np.arange(0, size, n_uav).reshape(shape[:-1])
-    cells = np.arange(0, size // n_users, n_uav).reshape(shape[:-2] + (1,))
-    rows.flags.writeable = cells.flags.writeable = False
-    return rows, cells
+    size = math.prod(lead) * n_users
+    table_rows = np.arange(0, size * m, m).reshape(lead + (n_users, 1))
+    rows = np.arange(0, size * n_uav, n_uav).reshape(lead + (n_users,))
+    cells = np.arange(0, size // n_users * n_uav, n_uav).reshape(lead + (1,))
+    for a in (table_rows, rows, cells):
+        a.flags.writeable = False
+    return table_rows, rows, cells
 
 
-def evaluate_slot(large_scale_db: np.ndarray, fading: np.ndarray,
+def evaluate_slot(tables: LinkTables, fleet: np.ndarray, fading: np.ndarray,
                   prev_assoc: np.ndarray | None, cfg: ScenarioConfig) -> LinkState:
     """Run the slot pipeline for all users at once.
 
-    Arrays are (n_users, n_uav), or (S, n_users, n_uav) for S worlds in
-    lockstep, with every world's float operations in the same order as a
-    2-D call on its slice. prev_assoc is last slot's association; None
-    (first slot) falls back to the strongest large-scale link, fading
-    excluded.
+    tables holds link_tables of shape (n_users, M) and fleet the (n_uav,)
+    centroid of every ABS, or (S, n_users, M) and (S, n_uav) for S worlds
+    in lockstep, with every world's float operations in the same order as a
+    2-D call on its slice. fading is (..., n_users, n_uav). prev_assoc is
+    last slot's association; None (first slot) falls back to the strongest
+    large-scale link, fading excluded.
     """
     const = radio_constants(cfg)
-    n_uav = large_scale_db.shape[-1]
-    rows, cells = _flat_offsets(large_scale_db.shape)
+    *lead, n_users, m = tables.gain.shape
+    table_rows, rows, cells = _flat_offsets(tuple(lead), n_users, m, fleet.shape[-1])
+    links = table_rows + fleet[..., None, :]        # flat (..., n_users, n_uav) columns
     if prev_assoc is None:
-        serving_prev = np.argmin(large_scale_db, axis=-1)
+        serving_prev = np.argmin(tables.loss_db.reshape(-1)[links], axis=-1)
     else:
         serving_prev = prev_assoc
-    p_w = dbm_to_watt(_open_loop_dbm(large_scale_db.reshape(-1)[rows + serving_prev],
-                                     cfg, const.rb_offset_db))
+    serving = fleet.reshape(-1)[cells + serving_prev]   # that ABS's centroid now
+    p_w = tables.power_w.reshape(-1)[table_rows[..., 0] + serving]
 
-    gains = db_to_linear(-large_scale_db) * fading
+    gains = tables.gain.reshape(-1)[links] * fading
     rx = p_w[..., None] * gains                     # (..., n_users, n_uav)
     assoc = associate(rx)
 
@@ -149,7 +166,6 @@ def evaluate_slot(large_scale_db: np.ndarray, fading: np.ndarray,
         assoc=assoc,
         interference_w=interf,
         sinr=snr,
-        rate_bps=rate_bps(snr, cfg.bandwidth_hz),
         outage=snr < const.gamma_lin,
     )
 
@@ -197,22 +213,29 @@ class OutageStats:
                          out=np.zeros(served.shape), where=served > 0)
 
 
-def outage_counts(assoc: np.ndarray, outage: np.ndarray, priority_mask: np.ndarray,
+def outage_keys(priority_mask: np.ndarray, n_uav: int) -> np.ndarray:
+    """The static part of outage_counts' key per user: the class, plus a
+    per-world offset when priority_mask has leading world axes."""
+    lead = priority_mask.shape[:-1]
+    worlds = np.arange(0, 4 * n_uav * math.prod(lead), 4 * n_uav).reshape(lead + (1,))
+    return n_uav * priority_mask + worlds
+
+
+def outage_counts(assoc: np.ndarray, outage: np.ndarray, keys: np.ndarray,
                   n_uav: int) -> np.ndarray:
     """(..., 2, 2, n_uav) user counts by [clear, outage][regular, priority][ABS].
 
-    One bincount over an (outcome, class, ABS) key, offset per world when
-    assoc has leading world axes; outage_stats and the per-UAV rewards both
-    read this table.
+    One bincount over an (outcome, class, ABS) key, whose class and world
+    part is outage_keys(priority_mask, n_uav); outage_stats and the per-UAV
+    rewards both read this table.
     """
     lead = assoc.shape[:-1]
     n_keys = 4 * n_uav * math.prod(lead)
-    key = assoc + n_uav * (priority_mask + 2 * outage)
-    if lead:
-        key = key + np.arange(0, n_keys, 4 * n_uav).reshape(lead + (1,))
+    key = assoc + 2 * n_uav * outage + keys
     return np.bincount(key.ravel(), minlength=n_keys).reshape(lead + (2, 2, n_uav))
 
 
-def outage_stats(state: LinkState, priority_mask: np.ndarray, n_uav: int) -> OutageStats:
-    """Outage counts of a slot's users by class and serving ABS."""
-    return OutageStats(outage_counts(state.assoc, state.outage, priority_mask, n_uav))
+def outage_stats(state: LinkState, keys: np.ndarray, n_uav: int) -> OutageStats:
+    """Outage counts of a slot's users by class and serving ABS; keys as in
+    outage_counts."""
+    return OutageStats(outage_counts(state.assoc, state.outage, keys, n_uav))

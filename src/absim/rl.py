@@ -10,10 +10,12 @@ Update rule per transition (s, a, r, s'):
     y       = r + zeta * max_{a' feasible at s'} Q[s'][a']
     Q[s][a] = (1 - alpha_q) * Q[s][a] + alpha_q * y
 
-A world's tables are one dense (n_uav, M, M) array Q[n, s, a]; entries off
-the graph stay 0 and are never read, because every read is masked by the
-world's (M, M) `feasible` table. Worlds stepped in lockstep stack these
-along a leading world axis, so selection and backups take one call per slot.
+A world's tables are one dense (n_uav, M, M) array Q[n, s, a]. The
+learner's working copy holds -inf wherever the world's (M, M) `feasible`
+table is False (see masked), so a greedy pick is a plain argmax and a
+bootstrap a plain max; snapshots (export_qtables, load_qtables) hold 0
+there instead. Worlds stepped in lockstep stack these along a leading world
+axis, so selection and backups take one call per slot.
 """
 
 from __future__ import annotations
@@ -61,19 +63,24 @@ def _index_arrays(n_worlds: int, n_uav: int):
     return w, n
 
 
+def masked(q: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    """Q-tables with -inf off the feasible moves; feasible broadcasts as an
+    (..., M, M) table per world."""
+    return np.where(feasible[..., None, :, :], q, -np.inf)
+
+
 def select_action(q: np.ndarray, states: np.ndarray, eps: float, rngs: list,
-                  feasible: np.ndarray, moves: list, n_moves: list) -> np.ndarray:
+                  moves: list, n_moves: list) -> np.ndarray:
     """Epsilon-greedy next centroid for every UAV of every world.
 
-    q is (S, n_uav, M, M), states (S, n_uav) and feasible (S, M, M); moves
+    q is the masked (S, n_uav, M, M) tensor and states (S, n_uav); moves
     and n_moves are the worlds' move tables as nested lists. Greedy ties
     break to the lowest index. World w explores with its own stream
     rngs[w], UAV by UAV: random(), then, if below eps, integers() over the
     feasible targets. With eps = 0 nothing is drawn.
     """
     w, n = _index_arrays(*states.shape)
-    vals = np.where(feasible[w, states], q[w, n, states], -np.inf)
-    actions = vals.argmax(axis=-1)
+    actions = q[w, n, states].argmax(axis=-1)
     if eps > 0.0:
         for k, (rng, row) in enumerate(zip(rngs, states.tolist())):
             for u, s in enumerate(row):
@@ -93,22 +100,19 @@ def reward(counts: np.ndarray, mu_pr, mu_nr) -> np.ndarray:
     """
     out = counts[..., 1, :, :]
     served = counts[..., 0, :, :] + out
-    frac = np.divide(out, served, out=np.zeros(served.shape), where=served > 0)
-    penalty = out + frac
+    penalty = out + out / np.maximum(served, 1)     # served == 0 implies out == 0
     return -(mu_pr * penalty[..., 1, :] + mu_nr * penalty[..., 0, :])
 
 
 def td_update(q: np.ndarray, states: np.ndarray, actions: np.ndarray,
-              rewards: np.ndarray, next_states: np.ndarray, cfg: ScenarioConfig,
-              feasible: np.ndarray) -> np.ndarray:
+              rewards: np.ndarray, next_states: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """One Q-learning backup per UAV of every world; returns the new Q[s][a].
 
     Shapes as in select_action. Every bootstrap max is read before any
     entry is written, so a hover backup sees its own old value.
     """
     w, n = _index_arrays(*states.shape)
-    nxt = np.maximum.reduce(np.where(feasible[w, next_states], q[w, n, next_states], -np.inf),
-                            axis=-1)
+    nxt = np.maximum.reduce(q[w, n, next_states], axis=-1)
     y = rewards + cfg.zeta * nxt
     new = (1.0 - cfg.alpha_q) * q[w, n, states, actions] + cfg.alpha_q * y
     q[w, n, states, actions] = new

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -29,9 +30,10 @@ import numpy as np
 from .scenario import (ScenarioConfig, config_hash, drop_users, generate_candidates,
                        rng_stream, user_arrays)
 from .channel import ChannelParams, link_matrix, sample_fading
-from .radio import LinkState, OutageStats, evaluate_slot, outage_stats, radio_constants
+from .radio import (LinkState, OutageStats, evaluate_slot, link_tables,
+                    outage_keys, outage_stats, radio_constants, rate_bps)
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
-from .rl import feasible_table, move_table, reward, select_action, td_update
+from .rl import feasible_table, masked, move_table, reward, select_action, td_update
 
 METHODS = ("qa", "kmeans", "snrp")
 
@@ -111,9 +113,10 @@ class Lockstep:
     """Worlds stepped slot by slot together.
 
     Their tables are stacked on a leading world axis, so every slot stage
-    is one call for all of them. The worlds must agree on every config
-    field but WORLD_FIELDS, which gives them the same array shapes and the
-    same epsilon schedule. Each world keeps its own RNG streams, so its
+    is one call for all of them; the link tables are built once, from the
+    stacked losses. The worlds must agree on every config field but
+    WORLD_FIELDS, which gives them the same array shapes and the same
+    epsilon schedule. Each world keeps its own RNG streams, so its
     results are those of running it alone.
     """
 
@@ -124,13 +127,11 @@ class Lockstep:
         cfg = worlds[0].cfg
         if any(shared(w.cfg) != shared(cfg) for w in worlds[1:]):
             raise ValueError("lockstep worlds may differ only in " + ", ".join(WORLD_FIELDS))
-        n_users, m = worlds[0].loss_db.shape
+        m = worlds[0].graph.n_centroids
         self.worlds = worlds
         self.cfg = cfg
-        self.loss_flat = np.stack([w.loss_db for w in worlds]).ravel()
-        # flat offset of (world, user, centroid 0) in loss_flat
-        self.loss_rows = (m * np.arange(len(worlds) * n_users)).reshape(-1, n_users, 1)
-        self.priority = np.stack([w.priority_mask for w in worlds])
+        self.links = link_tables(np.stack([w.loss_db for w in worlds]), cfg)
+        self.outage_keys = outage_keys(np.stack([w.priority_mask for w in worlds]), cfg.n_uav)
         self.feasible = np.stack([w.feasible for w in worlds])
         # the exploration loop reads the move tables as nested lists
         tables = [move_table(w.feasible) for w in worlds]
@@ -148,10 +149,6 @@ class Lockstep:
 
     def __len__(self) -> int:
         return len(self.worlds)
-
-    def loss(self, states: np.ndarray) -> np.ndarray:
-        """C-contiguous (S, n_users, n_uav) losses to each world's fleet."""
-        return self.loss_flat[self.loss_rows + states[:, None, :]]
 
 
 def start_states(world: World, rng_act: np.random.Generator) -> list[int]:
@@ -173,42 +170,41 @@ class SlotResult:
 
 def run_slot(batch: Lockstep, q: np.ndarray, states: np.ndarray,
              prev_assoc: np.ndarray | None, eps: float, fading: np.ndarray,
-             rngs: list, learn: bool, audit: np.ndarray) -> SlotResult:
+             rngs: list, learn: bool) -> SlotResult:
     """Advance one slot of every world: move, radio at the new positions,
     rewards, TD backups.
 
-    q is (S, n_uav, M, M), states (S, n_uav), fading this slot's
-    (S, n_users, n_uav) draw and audit the (S, len(AUDIT_KEYS)) counts.
+    q is the masked (S, n_uav, M, M) tensor (rl.masked), states (S, n_uav)
+    and fading this slot's (S, n_users, n_uav) draw. The moves and transmit
+    powers are audited once per episode, by run_episode.
     """
     cfg = batch.cfg
-    actions = select_action(q, states, eps, rngs, batch.feasible, batch.moves,
-                            batch.n_moves)
-    _audit_moves(batch, states, actions, audit)
-
-    link = evaluate_slot(batch.loss(actions), fading, prev_assoc, cfg)
-    over_cap = np.maximum.reduce(link.tx_power_w, axis=-1) > batch.p_cap_w
-    if np.count_nonzero(over_cap):
-        audit[:, _POWER] += over_cap
-
-    stats = outage_stats(link, batch.priority, cfg.n_uav)
+    actions = select_action(q, states, eps, rngs, batch.moves, batch.n_moves)
+    link = evaluate_slot(batch.links, actions, fading, prev_assoc, cfg)
+    stats = outage_stats(link, batch.outage_keys, cfg.n_uav)
     rewards = reward(stats.counts, batch.mu_pr, batch.mu_nr)
     if learn:
-        td_update(q, states, actions, rewards, actions, cfg, batch.feasible)
+        td_update(q, states, actions, rewards, actions, cfg)
     return SlotResult(states=actions, link=link, stats=stats, rewards=rewards)
 
 
 def _audit_moves(batch: Lockstep, states: np.ndarray, actions: np.ndarray,
                  audit: np.ndarray) -> None:
-    """Count violations of the waypoint / adjacency / speed / altitude caps."""
+    """Count violations of the waypoint / adjacency / speed / altitude caps.
+
+    states and actions are (..., S, n_uav): one slot's moves, or, with a
+    leading slots axis, an episode's; the altitude counts once per slot.
+    """
     cfg = batch.cfg
     if not (cfg.alt_min_m <= cfg.altitude_m <= cfg.alt_max_m):
-        audit[:, _ALTITUDE] += 1
+        audit[:, _ALTITUDE] += math.prod(states.shape[:-2])
     m = batch.move_flags.shape[1]
     target = np.minimum(np.maximum(actions, -1), m)     # -1 wraps to column M
     flags = batch.move_flags[batch.world_col, states, target]
     if np.count_nonzero(flags):
+        per_world = flags.reshape((-1,) + flags.shape[-2:])
         for bit, col in _MOVE_BITS:
-            audit[:, col] += np.count_nonzero(flags & bit, axis=1)
+            audit[:, col] += np.count_nonzero(per_world & bit, axis=(0, 2))
 
 
 @dataclass
@@ -226,7 +222,11 @@ class EpisodeRecord:
 def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
                 rng_act: list, learn: bool, audit: np.ndarray, index: int = 0) -> list:
     """One episode of every world, with world w drawing from rng_fading[w]
-    and rng_act[w]; returns an EpisodeRecord per world."""
+    and rng_act[w]; returns an EpisodeRecord per world.
+
+    What no later slot reads is reduced once at the end: the move audit,
+    the power-cap count and the rates.
+    """
     cfg = batch.cfg
     n_slots = cfg.slots_per_episode
     link_shape = (cfg.n_users, cfg.n_uav)
@@ -236,19 +236,27 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
         fading[:, k] = sample_fading(rng, (n_slots,) + link_shape)
     traj = np.empty((n_slots + 1,) + states.shape, dtype=int)
     traj[0] = states
-    # per world and slot; reduced once per episode, every world's rows contiguous
+    # per world and slot, every world's rows contiguous, so each slot's
+    # users are summed as one contiguous row
     rewards = np.empty((len(batch), n_slots, cfg.n_uav))
     counts = np.empty((len(batch), n_slots, 2, 2, cfg.n_uav), dtype=int)
-    rate_sums = np.empty((len(batch), n_slots))
+    peak_power = np.empty((len(batch), n_slots))
+    sinrs = np.empty((len(batch), n_slots, cfg.n_users))
     prev_assoc = None
     for t in range(n_slots):
-        res = run_slot(batch, q, states, prev_assoc, eps, fading[t], rng_act,
-                       learn, audit)
+        res = run_slot(batch, q, states, prev_assoc, eps, fading[t], rng_act, learn)
         states = traj[t + 1] = res.states
         prev_assoc = res.link.assoc
         rewards[:, t] = res.rewards
         counts[:, t] = res.stats.counts
-        rate_sums[:, t] = np.add.reduce(res.link.rate_bps, axis=-1)
+        np.maximum.reduce(res.link.tx_power_w, axis=-1, out=peak_power[:, t])
+        sinrs[:, t] = res.link.sinr
+    del fading, res
+
+    _audit_moves(batch, traj[:-1], traj[1:], audit)
+    # slots in which any user transmits above the cap
+    audit[:, _POWER] += np.count_nonzero(peak_power > batch.p_cap_w, axis=-1)
+    rate_sums = np.add.reduce(rate_bps(sinrs, cfg.bandwidth_hz), axis=-1)
     # built-in sum from int 0, left to right: np.sum would keep an all -0.0
     # slot at -0.0 and change the report's bytes
     slot_reward = np.array([[sum(r) for r in world] for world in rewards.tolist()])
@@ -293,7 +301,7 @@ class RunReport:
 class TrainResult:
     report: RunReport
     world: World
-    qtables: np.ndarray       # (n_uav, M, M)
+    qtables: np.ndarray       # (n_uav, M, M), 0 off the feasible moves
     episodes: list            # EpisodeRecord per training episode
 
 
@@ -343,7 +351,7 @@ def evaluate_policy(world: World, qtables: np.ndarray, audit: dict | None = None
     Audit violations are added to audit when one is given.
     """
     counts = np.zeros((1, len(AUDIT_KEYS)), dtype=np.int64)
-    ev = _evaluate(Lockstep([world]), qtables[None], counts)[0]
+    ev = _evaluate(Lockstep([world]), masked(qtables, world.feasible)[None], counts)[0]
     if audit is not None:
         for key, c in zip(AUDIT_KEYS, counts[0].tolist()):
             audit[key] += c
@@ -354,18 +362,30 @@ def train_lockstep(jobs: list) -> list:
     """Condense a world per (cfg, method) job, then learn for cfg.episodes
     and evaluate greedily, all worlds in lockstep; a TrainResult per job.
 
-    Each result equals that of training its world alone, except for the
-    wall times: every world reports 1/S of the lockstep learning and
-    evaluation time.
+    Jobs that differ only in weights the condenser does not read share one
+    condensation and its world's tables. Each result equals that of
+    training its world alone, except for the wall times: every world
+    reports 1/S of the lockstep learning and evaluation time, and a shared
+    condensation's time in full.
     """
     if not jobs:
         return []
-    built = [build_world(cfg, method) for cfg, method in jobs]
-    batch = Lockstep([world for world, _ in built])
+    condensed, worlds, condense_times = {}, [], []
+    for cfg, method in jobs:
+        # a world's users, graph and tables do not depend on the reward
+        # weights, except under snrp, whose proxy weighs users by them
+        key = (cfg if method == "snrp" else dataclasses.replace(cfg, mu_pr=1.0, mu_nr=1.0),
+               method)
+        if key not in condensed:
+            condensed[key] = build_world(cfg, method)
+        world, condense_time = condensed[key]
+        worlds.append(dataclasses.replace(world, cfg=cfg))
+        condense_times.append(condense_time)
+    batch = Lockstep(worlds)
     cfg = batch.cfg
     n = len(batch)
     m = batch.feasible.shape[-1]
-    q = np.zeros((n, cfg.n_uav, m, m))
+    q = masked(np.zeros((n, cfg.n_uav, m, m)), batch.feasible)
     audit = np.zeros((n, len(AUDIT_KEYS)), dtype=np.int64)
     rng_fading = [rng_stream(w.cfg.seed, "fading") for w in batch.worlds]
     rng_act = [rng_stream(w.cfg.seed, "egreedy") for w in batch.worlds]
@@ -384,7 +404,8 @@ def train_lockstep(jobs: list) -> list:
     eval_time = (time.perf_counter() - t0) / n
 
     results = []
-    for k, ((world, condense_time), (_, method), ev) in enumerate(zip(built, jobs, evals)):
+    for k, (world, condense_time, (_, method), ev) in enumerate(
+            zip(worlds, condense_times, jobs, evals)):
         records = [ep[k] for ep in episodes]
         graph = world.graph
         report = RunReport(
@@ -409,7 +430,8 @@ def train_lockstep(jobs: list) -> list:
             rl_time_s=rl_time,
             eval_time_s=eval_time,
         )
-        results.append(TrainResult(report=report, world=world, qtables=q[k],
+        results.append(TrainResult(report=report, world=world,
+                                   qtables=np.where(world.feasible, q[k], 0.0),
                                    episodes=records))
     return results
 
@@ -474,6 +496,15 @@ def write_edges_csv(path, graph: CondensedGraph) -> None:
         fh.write("src,dst,virtual\n")
         for i, j, virt in graph.edges:
             fh.write(f"{i},{j},{int(virt)}\n")
+
+
+def write_anneal_trace_csv(path, trace: dict) -> None:
+    """qa_condense's trace, one row per temperature step."""
+    rows = zip(*(trace[k].tolist() for k in ("temperature", "current", "best", "accepted")))
+    with open(path, "w") as fh:
+        fh.write("step,temperature,current,best,accepted\n")
+        for step, (temp, cur, best, acc) in enumerate(rows):
+            fh.write(f"{step},{_f(temp)},{_f(cur)},{_f(best)},{acc}\n")
 
 
 def write_learning_curve_csv(path, report: RunReport) -> None:

@@ -7,8 +7,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from absim.condense import _draw_move
-from absim.radio import dbm_to_watt, db_to_linear
-from absim.rl import td_update
+from absim.radio import dbm_to_watt, db_to_linear, radio_constants
+from absim.rl import masked, td_update
 from absim.scenario import ScenarioConfig
 
 
@@ -90,11 +90,32 @@ def brute_force_reward(n, assoc, outage, priority_mask, cfg):
 
 
 def td_step(q, s, a, r, s_next, cfg, feasible):
-    """rl.td_update on one world's single-UAV (M, M) table q, in place;
-    returns the new Q[s][a]."""
-    new = td_update(q[None, None], np.array([[s]]), np.array([[a]]), np.array([[r]]),
-                    np.array([[s_next]]), cfg, feasible[None])
+    """rl.td_update on one world's single-UAV (M, M) table q, read through
+    the feasible mask (rl.masked); writes and returns the new Q[s][a]."""
+    new = td_update(masked(q, feasible)[None], np.array([[s]]), np.array([[a]]),
+                    np.array([[r]]), np.array([[s_next]]), cfg)
+    q[s, a] = new[0, 0]
     return float(new[0, 0])
+
+
+def gathered_loss_slot(large_scale_db, fading, prev_assoc, cfg):
+    """The slot chain on one world's gathered (n_users, n_uav) losses, with
+    gains and transmit powers converted in the slot: the formula the link
+    tables must reproduce bit for bit. Returns (tx_power_w, gains, assoc,
+    interference_w, sinr, outage)."""
+    const = radio_constants(cfg)
+    users = np.arange(large_scale_db.shape[0])
+    serving = np.argmin(large_scale_db, axis=1) if prev_assoc is None else prev_assoc
+    p_w = dbm_to_watt(np.minimum(cfg.p_max_dbm, cfg.p0_dbm + cfg.alpha_ol
+                                 * large_scale_db[users, serving] + const.rb_offset_db))
+    gains = db_to_linear(-large_scale_db) * fading
+    rx = p_w[:, None] * gains
+    assoc = rx.argmax(axis=1)
+    in_cell = np.zeros(rx.shape, dtype=bool)
+    in_cell[users, assoc] = True
+    interf = np.where(in_cell, 0.0, rx).sum(axis=0)[assoc]
+    snr = rx[users, assoc] / (const.noise_w + interf)
+    return p_w, gains, assoc, interf, snr, snr < const.gamma_lin
 
 
 # -- reference paths the pipeline no longer uses ----------------------------

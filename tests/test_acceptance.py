@@ -23,7 +23,7 @@ from scipy import stats
 
 from absim.cli import main
 from absim.condense import accept, kmeans_condense, qa_condense
-from absim.radio import evaluate_slot
+from absim.radio import evaluate_slot, link_tables
 from absim.rl import feasible_table
 from absim.scenario import ScenarioConfig, generate_candidates, rng_stream
 from absim.sim import METHODS, compare_methods, sweep_mu, train
@@ -136,7 +136,7 @@ def test_criterion_07_radio_matches_brute_force():
         _, loss = link_matrix(uav_xy, cfg.altitude_m, users_xy, chan)
         fading = sample_fading(rng, (n_users, n_uav))
         prev = rng.integers(0, n_uav, n_users) if trial % 2 else None
-        state = evaluate_slot(loss, fading, prev, cfg)
+        state = evaluate_slot(link_tables(loss, cfg), np.arange(n_uav), fading, prev, cfg)
         _, assoc, interf, snr, out = brute_force_slot(loss, fading, prev, cfg)
         assert np.array_equal(state.assoc, assoc)
         assert np.allclose(state.interference_w, interf, rtol=1e-12, atol=1e-300)

@@ -76,6 +76,24 @@ def test_condense_writes_graph_files(tiny_config, tmp_path, capsys):
     assert timings["condense_s"] >= 0.0
 
 
+def test_condense_qa_writes_anneal_trace(tiny_config, tmp_path):
+    out = tmp_path / "run"
+    assert main(["condense", "--config", tiny_config, "--method", "qa",
+                 "--out", str(out)]) == 0
+    lines = (out / "anneal_trace.csv").read_text().strip().split("\n")
+    assert lines[0] == "step,temperature,current,best,accepted"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(len(rows))) and rows
+    best = [float(r[3]) for r in rows]
+    assert all(b <= a for a, b in zip(best, best[1:]))
+    assert all(float(r[2]) >= float(r[3]) for r in rows)
+    accepted = [int(r[4]) for r in rows]
+    assert all(b >= a for a, b in zip(accepted, accepted[1:]))
+    assert main(["condense", "--config", tiny_config, "--method", "kmeans",
+                 "--out", str(tmp_path / "km")]) == 0
+    assert not (tmp_path / "km" / "anneal_trace.csv").exists()
+
+
 def test_condense_deterministic_across_invocations(tiny_config, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["condense", "--config", tiny_config, "--out", str(a)]) == 0

@@ -114,7 +114,7 @@ def test_qa_desk_scale_quality():
 def test_qa_trace_best_is_monotone():
     cfg = mk_cfg(n_candidates=64, n_centroids=6)
     nodes = generate_candidates(cfg).nodes
-    graph = qa_condense(nodes, cfg, record_trace=True)
+    graph = qa_condense(nodes, cfg)
     best = graph.trace["best"]
     assert (np.diff(best) <= 0).all()
     assert (graph.trace["current"] >= best - 1e-9).all()

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from absim.channel import ChannelParams, link_matrix, sample_fading
 from absim.radio import (LinkState, associate, db_to_linear, dbm_to_watt,
-                         evaluate_slot, outage_stats, rate_bps, tx_power_dbm,
-                         watt_to_dbm)
+                         evaluate_slot, link_tables, outage_keys, outage_stats, rate_bps,
+                         tx_power_dbm, watt_to_dbm)
 from absim.scenario import rng_stream
-from helpers import brute_force_slot, interference, mk_cfg, sinr
+from helpers import brute_force_slot, gathered_loss_slot, interference, mk_cfg, sinr
 
 
 def test_dbm_watt_conversions():
@@ -50,7 +50,7 @@ def _state_2x2():
     return LinkState(gains=gains, tx_power_w=np.array([0.1, 0.1]),
                      serving_prev=np.array([0, 1]), assoc=np.array([0, 1]),
                      interference_w=np.zeros(2), sinr=np.zeros(2),
-                     rate_bps=np.zeros(2), outage=np.zeros(2, dtype=bool))
+                     outage=np.zeros(2, dtype=bool))
 
 
 def test_interference_hand_example():
@@ -96,7 +96,7 @@ def test_slot_pipeline_equals_brute_force():
         n_uav = int(rng.integers(1, 4))
         loss, fading = _random_instance(rng, cfg, n_users, n_uav)
         prev = rng.integers(0, n_uav, n_users) if trial % 2 else None
-        state = evaluate_slot(loss, fading, prev, cfg)
+        state = evaluate_slot(link_tables(loss, cfg), np.arange(n_uav), fading, prev, cfg)
         p_w, assoc, interf, snr, out = brute_force_slot(loss, fading, prev, cfg)
         assert np.array_equal(state.assoc, assoc)
         assert np.allclose(state.tx_power_w, p_w, rtol=1e-12, atol=0)
@@ -115,14 +115,17 @@ def test_batched_slot_equals_per_world_calls(n_worlds, n_users, n_uav, seed, wit
     loss = np.stack([lo for lo, _ in pairs])
     fading = np.stack([fa for _, fa in pairs])
     prev = rng.integers(0, n_uav, (n_worlds, n_users)) if with_prev else None
+    fleet = np.tile(np.arange(n_uav), (n_worlds, 1))
     # a users-contiguous layout too: summing users along a contiguous axis
     # would switch numpy to pairwise sums and change the interference bits
     swapped = [np.ascontiguousarray(a.swapaxes(1, 2)).swapaxes(1, 2) for a in (loss, fading)]
-    for batched in (evaluate_slot(loss, fading, prev, cfg), evaluate_slot(*swapped, prev, cfg)):
+    for batched in (evaluate_slot(link_tables(loss, cfg), fleet, fading, prev, cfg),
+                    evaluate_slot(link_tables(swapped[0], cfg), fleet, swapped[1], prev, cfg)):
         for k in range(n_worlds):
-            solo = evaluate_slot(loss[k], fading[k], None if prev is None else prev[k], cfg)
+            solo = evaluate_slot(link_tables(loss[k], cfg), np.arange(n_uav), fading[k],
+                                 None if prev is None else prev[k], cfg)
             for name in ("gains", "tx_power_w", "serving_prev", "assoc", "interference_w",
-                         "sinr", "rate_bps", "outage"):
+                         "sinr", "outage"):
                 got, want = getattr(batched, name)[k], getattr(solo, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     # and that order is user by user: each ABS's interference equals a
@@ -135,11 +138,41 @@ def test_batched_slot_equals_per_world_calls(n_worlds, n_users, n_uav, seed, wit
             assert batched.interference_w[k, i] == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(n_worlds=st.sampled_from([1, 3]), n_users=st.integers(1, 30), m=st.integers(1, 8),
+       n_uav=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), with_prev=st.booleans())
+def test_table_gather_equals_loss_formula_and_brute_force(n_worlds, n_users, m, n_uav,
+                                                          seed, with_prev):
+    # fleets over M centroids, repeats included: two ABSs may share a waypoint
+    cfg = mk_cfg()
+    rng = np.random.default_rng(seed)
+    loss = np.stack([_random_instance(rng, cfg, n_users, m)[0] for _ in range(n_worlds)])
+    fleet = rng.integers(0, m, (n_worlds, n_uav))
+    fading = sample_fading(rng, (n_worlds, n_users, n_uav))
+    prev = rng.integers(0, n_uav, (n_worlds, n_users)) if with_prev else None
+    state = evaluate_slot(link_tables(loss, cfg), fleet, fading, prev, cfg)
+    for k in range(n_worlds):
+        gathered = loss[k][:, fleet[k]]
+        prev_k = None if prev is None else prev[k]
+        got = (state.tx_power_w[k], state.gains[k], state.assoc[k],
+               state.interference_w[k], state.sinr[k], state.outage[k])
+        for name, g, want in zip(("tx_power_w", "gains", "assoc", "interference_w", "sinr",
+                                  "outage"), got, gathered_loss_slot(gathered, fading[k],
+                                                                     prev_k, cfg)):
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes(), name
+        p_w, assoc, interf, snr, out = brute_force_slot(gathered, fading[k], prev_k, cfg)
+        assert np.array_equal(state.assoc[k], assoc)
+        assert np.array_equal(state.outage[k], out)
+        assert np.allclose(state.tx_power_w[k], p_w, rtol=1e-12, atol=0)
+        assert np.allclose(state.interference_w[k], interf, rtol=1e-12, atol=1e-300)
+        assert np.allclose(state.sinr[k], snr, rtol=1e-12, atol=0)
+
+
 def test_first_slot_serves_strongest_large_scale():
     cfg = mk_cfg()
     loss = np.array([[90.0, 70.0]])          # ABS 1 is the stronger link
     fading = np.array([[50.0, 0.01]])        # fading would say otherwise
-    state = evaluate_slot(loss, fading, None, cfg)
+    state = evaluate_slot(link_tables(loss, cfg), np.arange(2), fading, None, cfg)
     assert state.serving_prev.tolist() == [1]
 
 
@@ -147,7 +180,7 @@ def test_power_cap_never_exceeded():
     cfg = mk_cfg()
     rng = np.random.default_rng(2)
     loss, fading = _random_instance(rng, cfg, 12, 3)
-    state = evaluate_slot(loss, fading, None, cfg)
+    state = evaluate_slot(link_tables(loss, cfg), np.arange(3), fading, None, cfg)
     assert state.tx_power_w.max() <= dbm_to_watt(cfg.p_max_dbm) * (1 + 1e-12)
     assert (state.sinr >= 0).all()
     assert np.array_equal(state.outage, state.sinr < db_to_linear(cfg.gamma_th_db))
@@ -157,7 +190,7 @@ def test_single_abs_is_noise_limited():
     cfg = mk_cfg()
     rng = np.random.default_rng(3)
     loss, fading = _random_instance(rng, cfg, 10, 1)
-    state = evaluate_slot(loss, fading, None, cfg)
+    state = evaluate_slot(link_tables(loss, cfg), np.arange(1), fading, None, cfg)
     assert np.all(state.interference_w == 0.0)
     noise_w = float(dbm_to_watt(cfg.noise_dbm))
     want = state.tx_power_w * state.gains[:, 0] / noise_w
@@ -177,7 +210,7 @@ def test_association_partitions_users():
     cfg = mk_cfg()
     rng = np.random.default_rng(4)
     loss, fading = _random_instance(rng, cfg, 30, 3)
-    state = evaluate_slot(loss, fading, None, cfg)
+    state = evaluate_slot(link_tables(loss, cfg), np.arange(3), fading, None, cfg)
     assert np.bincount(state.assoc, minlength=3).sum() == 30
 
 
@@ -185,7 +218,7 @@ def test_outage_stats_hand_case():
     state = _state_2x2()
     state.outage[:] = [True, False]
     pr = np.array([True, True])
-    stats = outage_stats(state, pr, n_uav=3)
+    stats = outage_stats(state, outage_keys(pr, 3), n_uav=3)
     assert stats.priority == pytest.approx(0.5)
     assert stats.regular == 0.0               # empty class counts as 0
     assert stats.network == pytest.approx(0.5)
@@ -194,5 +227,5 @@ def test_outage_stats_hand_case():
 
 def test_outage_stats_all_clear():
     state = _state_2x2()
-    stats = outage_stats(state, np.array([True, False]), n_uav=2)
+    stats = outage_stats(state, outage_keys(np.array([True, False]), 2), n_uav=2)
     assert stats.network == stats.priority == stats.regular == 0.0

@@ -7,9 +7,9 @@ import pytest
 from scipy import stats
 
 from absim.condense import build_adjacency
-from absim.radio import outage_counts
-from absim.rl import (export_qtables, feasible_table, load_qtables, move_table, reward,
-                      select_action)
+from absim.radio import outage_counts, outage_keys
+from absim.rl import (export_qtables, feasible_table, load_qtables, masked, move_table,
+                      reward, select_action)
 from absim.scenario import rng_stream
 from absim.sim import train
 from helpers import brute_force_reward, feasible_actions, mk_cfg, td_step
@@ -26,7 +26,7 @@ def _chain(n, spacing=200.0):
 def _select(q, s, eps, rng, feasible):
     """select_action for one UAV of one world, on its (M, M) table q."""
     moves, n_moves = move_table(feasible)
-    actions = select_action(q[None, None], np.array([[s]]), eps, [rng], feasible[None],
+    actions = select_action(masked(q, feasible)[None], np.array([[s]]), eps, [rng],
                             [moves.tolist()], [n_moves.tolist()])
     return int(actions[0, 0])
 
@@ -129,7 +129,7 @@ def test_select_action_lockstep_matches_per_uav_loop():
         for step in range(20):
             states = rng.integers(0, m, (n_worlds, n_uav))
             streams = [rng_stream(100 * step + k, "egreedy") for k in range(n_worlds)]
-            got = select_action(q, states, eps, streams, feasible, moves, n_moves)
+            got = select_action(masked(q, feasible), states, eps, streams, moves, n_moves)
             for k in range(n_worlds):
                 ref = rng_stream(100 * step + k, "egreedy")
                 for u in range(n_uav):
@@ -145,7 +145,7 @@ def test_select_action_lockstep_matches_per_uav_loop():
 
 def _rewards(assoc, outage, priority_mask, cfg, n_uav=3):
     counts = outage_counts(np.asarray(assoc), np.asarray(outage),
-                           np.asarray(priority_mask), n_uav)
+                           outage_keys(np.asarray(priority_mask), n_uav), n_uav)
     return counts, reward(counts, cfg.mu_pr, cfg.mu_nr)
 
 

@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absim.channel import ChannelParams, link_matrix, sample_fading
+from absim import sim
 from absim.condense import CondensedGraph
+from absim.radio import radio_constants
+from absim.rl import masked
 from absim.scenario import config_hash
 from absim.sim import (AUDIT_KEYS, METHODS, Lockstep, _audit_moves, build_world,
                        compare_methods, condense_graph, evaluate_policy, make_world,
-                       report_to_dict, run_dir, start_states, sweep_mu, train,
+                       report_to_dict, run_dir, run_episode, start_states, sweep_mu, train,
                        train_lockstep, with_seed,
                        write_centroids_csv, write_compare_learning_curves_csv,
                        write_edges_csv, write_learning_curve_csv, write_outage_csv,
@@ -115,6 +118,75 @@ def test_audit_moves_counts_per_world():
     actions = np.array([[1, 2], [4, 7], [1, -2]])   # legal | too fast, off | off
     _audit_moves(Lockstep([world] * 3), states, actions, counts)
     assert counts.tolist() == [[0, 0, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 0, 0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_slots=st.integers(1, 8), n_worlds=st.integers(1, 3),
+       high=st.booleans())
+def test_episode_audit_equals_per_slot_calls(seed, n_slots, n_worlds, high):
+    cfg = mk_cfg()
+    world = _bridged_chain_world(cfg)
+    if high:    # out of the altitude band: counts once per slot
+        world = dataclasses.replace(world, cfg=dataclasses.replace(cfg, altitude_m=400.0))
+    batch = Lockstep([world] * n_worlds)
+    rng = np.random.default_rng(seed)
+    states = rng.integers(0, 5, (n_slots, n_worlds, cfg.n_uav))
+    actions = rng.integers(-2, 8, (n_slots, n_worlds, cfg.n_uav))   # off the graph too
+    per_slot = np.zeros((n_worlds, len(AUDIT_KEYS)), dtype=int)
+    for s, a in zip(states, actions):
+        _audit_moves(batch, s, a, per_slot)
+    episode = np.zeros_like(per_slot)
+    _audit_moves(batch, states, actions, episode)
+    assert episode.tolist() == per_slot.tolist()
+    assert episode[:, AUDIT_KEYS.index("altitude_out_of_band")].tolist() == \
+        [n_slots * high] * n_worlds
+
+
+def test_power_cap_audit_counts_slots_not_users():
+    # one ABS, two users; both links to centroid 1 and user 0's link to
+    # centroid 2 are raised above the cap, so a slot breaks the cap exactly
+    # when the ABS sits on centroid 1 or 2
+    cfg = mk_cfg(n_uav=1, n_users=2)
+    batch = Lockstep([_bridged_chain_world(cfg)])
+    batch.links.power_w[0, :, 1] = batch.links.power_w[0, 0, 2] = \
+        2.0 * radio_constants(cfg).p_max_w
+    audit = np.zeros((1, len(AUDIT_KEYS)), dtype=int)
+    q = masked(np.zeros((1, 1, 5, 5)), batch.feasible)
+    record = run_episode(batch, q, 1.0, [rng_stream(1, "fading")], [rng_stream(1, "egreedy")],
+                         learn=False, audit=audit)[0]
+    path = record.trajectory[0][1:]
+    at_one, at_two = path.count(1), path.count(2)
+    assert at_one > 0 and at_two > 0 and at_one + at_two < cfg.slots_per_episode
+    assert dict(zip(AUDIT_KEYS, audit[0].tolist()))["power_above_cap"] == at_one + at_two
+
+
+def test_training_never_leaves_the_feasible_moves():
+    cfg = mk_cfg()
+    for method in METHODS:
+        res = train(cfg, method)
+        feasible = res.world.feasible
+        assert not feasible.all()          # else nothing to leave
+        paths = [p for rec in res.episodes for p in rec.trajectory]
+        for path in paths:
+            assert all(feasible[s, a] for s, a in zip(path, path[1:]))
+        assert not res.qtables[:, ~feasible].any()
+        assert np.isfinite(res.qtables).all() and res.qtables[:, feasible].any()
+
+
+def test_sweep_condenses_once_per_distinct_input(monkeypatch):
+    # mu enters neither qa nor kmeans condensation, but snrp's proxy reads it
+    cfg = mk_cfg(episodes=1, slots_per_episode=3, eval_episodes=1)
+    for method, want in (("qa", 2), ("kmeans", 2), ("snrp", 6)):
+        calls = []
+        real = getattr(sim, f"{method}_condense")
+
+        def counted(*args, real=real, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim, f"{method}_condense", counted)
+        sweep_mu(cfg, [15.0, 30.0, 60.0], n_seeds=2, method=method)
+        assert len(calls) == want, method
 
 
 def test_unknown_method_rejected():
