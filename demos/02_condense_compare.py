@@ -11,11 +11,11 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from absim.condense import distortion, kmeans_condense, qa_condense, snrp_condense
-from absim.scenario import ScenarioConfig, drop_users, generate_candidates, rng_stream, user_arrays
+from absim.scenario import ScenarioConfig, drop_users, generate_candidates, rng_stream
 
 cfg = ScenarioConfig()
-nodes = generate_candidates(cfg).nodes
-users_xy, priority_mask = user_arrays(drop_users(cfg))
+nodes = generate_candidates(cfg)
+users_xy, priority_mask = drop_users(cfg)
 print(f"{len(nodes)} candidates on a {cfg.x_max:.0f} x {cfg.y_max:.0f} m area, "
       f"target {cfg.n_centroids} centroids, {len(users_xy)} users "
       f"({int(priority_mask.sum())} priority)")

@@ -12,7 +12,7 @@ from absim.condense import accept, kmeans_condense, qa_condense
 from absim.scenario import ScenarioConfig, generate_candidates, rng_stream
 
 cfg = ScenarioConfig()
-nodes = generate_candidates(cfg).nodes
+nodes = generate_candidates(cfg)
 
 graph = qa_condense(nodes, cfg, rng_stream(cfg.seed, "condense"))
 tr = graph.trace

@@ -15,14 +15,11 @@ power fading applied multiplicatively to the linear gain 10^(-L_eff/10).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import ScenarioConfig
-
-SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
 @dataclass(frozen=True)
@@ -48,33 +45,11 @@ class ChannelParams:
         )
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """3-D distance [m] and elevation angle [deg] of one UAV-user link."""
-
-    distance_m: float
-    theta_deg: float
-
-
-def link_geometry(uav_pos, user_pos) -> LinkGeometry:
-    """Geometry between a UAV at (x, y, h) and a ground user at (x, y, 0)."""
-    ux, uy, uh = float(uav_pos[0]), float(uav_pos[1]), float(uav_pos[2])
-    gx, gy = float(user_pos[0]), float(user_pos[1])
-    if uh <= 0.0:
-        raise ValueError("UAV altitude must be positive")
-    d = math.sqrt((ux - gx) ** 2 + (uy - gy) ** 2 + uh ** 2)
-    theta = math.degrees(math.asin(uh / d))
-    return LinkGeometry(distance_m=d, theta_deg=theta)
-
-
 def los_probability(theta_deg, p: ChannelParams):
-    """P_LoS(theta); scalar or ndarray in, same shape out."""
+    """P_LoS(theta); an array of theta's shape."""
     base = p.b1 * (np.asarray(theta_deg, dtype=float) - p.xi_deg)
     prob = np.where(base > 0.0, np.power(np.maximum(base, 0.0), p.b2), 0.0)
-    prob = np.clip(prob, 0.0, 1.0)
-    if np.isscalar(theta_deg):
-        return float(prob)
-    return prob
+    return np.clip(prob, 0.0, 1.0)
 
 
 def effective_path_loss_db(distance_m, theta_deg, p: ChannelParams):
@@ -82,10 +57,7 @@ def effective_path_loss_db(distance_m, theta_deg, p: ChannelParams):
     d = np.asarray(distance_m, dtype=float)
     plos = los_probability(theta_deg, p)
     excess = plos * p.kappa_los + (1.0 - plos) * p.kappa_nlos
-    loss = 10.0 * np.log10(p.k0) + 10.0 * p.alpha * np.log10(d) + 10.0 * np.log10(excess)
-    if np.isscalar(distance_m):
-        return float(loss)
-    return loss
+    return 10.0 * np.log10(p.k0) + 10.0 * p.alpha * np.log10(d) + 10.0 * np.log10(excess)
 
 
 def sample_fading(rng: np.random.Generator, size=None):

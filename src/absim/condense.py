@@ -28,6 +28,7 @@ from .channel import ChannelParams, link_matrix
 # last STOP_WINDOW temperature steps
 STOP_WINDOW = 50
 STOP_TOL = 1e-6
+KMEANS_MAX_ITER = 200
 
 
 @dataclass
@@ -121,14 +122,7 @@ def _apply_move(dist2, d1, i1, d2, i2, m, col, served):
     d1[up1] = col[up1]
     rows = np.flatnonzero(stale)
     if rows.size:
-        sub = dist2[rows]
-        idx = np.argpartition(sub, 1, axis=1)[:, :2]
-        vals = np.take_along_axis(sub, idx, axis=1)
-        swap = vals[:, 0] > vals[:, 1]
-        d1[rows] = np.where(swap, vals[:, 1], vals[:, 0])
-        i1[rows] = np.where(swap, idx[:, 1], idx[:, 0])
-        d2[rows] = np.where(swap, vals[:, 0], vals[:, 1])
-        i2[rows] = np.where(swap, idx[:, 0], idx[:, 1])
+        d1[rows], i1[rows], d2[rows], i2[rows] = _top2(dist2[rows])
 
 
 def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig,
@@ -213,15 +207,14 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig,
 
 
 def kmeans_condense(nodes: np.ndarray, cfg: ScenarioConfig,
-                    rng: np.random.Generator | None = None,
-                    max_iter: int = 200) -> CondensedGraph:
+                    rng: np.random.Generator | None = None) -> CondensedGraph:
     """Lloyd's k-means over the candidates, seeded from random candidates."""
     if rng is None:
         rng = rng_stream(cfg.seed, "condense")
     m_cent = cfg.n_centroids
     centroids = nodes[rng.choice(len(nodes), size=m_cent, replace=False)].copy()
     labels = np.full(len(nodes), -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist2 = cdist(nodes, centroids, "sqeuclidean")
         new_labels = dist2.argmin(axis=1)
         if np.array_equal(new_labels, labels):

@@ -23,10 +23,6 @@ def dbm_to_watt(p_dbm):
     return np.power(10.0, (np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
 
 
-def watt_to_dbm(p_w):
-    return 10.0 * np.log10(np.asarray(p_w, dtype=float)) + 30.0
-
-
 def db_to_linear(x_db):
     return np.power(10.0, np.asarray(x_db, dtype=float) / 10.0)
 
@@ -78,11 +74,8 @@ def radio_constants(cfg: ScenarioConfig) -> RadioConstants:
 def tx_power_dbm(pl_serving_db, cfg: ScenarioConfig):
     """Open-loop power control, capped at p_max_dbm; vectorized."""
     pl = np.asarray(pl_serving_db, dtype=float)
-    p = np.minimum(cfg.p_max_dbm,
-                   cfg.p0_dbm + cfg.alpha_ol * pl + radio_constants(cfg).rb_offset_db)
-    if np.isscalar(pl_serving_db):
-        return float(p)
-    return p
+    return np.minimum(cfg.p_max_dbm,
+                      cfg.p0_dbm + cfg.alpha_ol * pl + radio_constants(cfg).rb_offset_db)
 
 
 def link_tables(loss_db: np.ndarray, cfg: ScenarioConfig) -> LinkTables:
@@ -204,13 +197,6 @@ class OutageStats:
     def regular(self):
         """Fraction among non-priority users."""
         return self._by_class()[2][..., 0]
-
-    @property
-    def per_abs(self) -> np.ndarray:
-        """(..., n_uav) outage fraction among users served there; 0 if none."""
-        served = self.counts.sum(axis=(-3, -2))
-        return np.divide(self.counts[..., 1, :, :].sum(axis=-2), served,
-                         out=np.zeros(served.shape), where=served > 0)
 
 
 def outage_keys(priority_mask: np.ndarray, n_uav: int) -> np.ndarray:

@@ -132,7 +132,7 @@ def export_qtables(path, qtables: np.ndarray, graph: CondensedGraph) -> None:
 
 def load_qtables(path, graph: CondensedGraph, n_uav: int) -> np.ndarray:
     """Rebuild the (n_uav, M, M) tables from export_qtables output; the
-    rows must cover exactly the graph's moves."""
+    rows must cover the graph's moves, each exactly once."""
     m = graph.n_centroids
     adj = graph.adjacency()
     q = np.zeros((n_uav, m, m))
@@ -151,6 +151,8 @@ def load_qtables(path, graph: CondensedGraph, n_uav: int) -> np.ndarray:
             value = float(v_s)
             if not math.isfinite(value):
                 raise ValueError(f"non-finite Q-value: {line.strip()}")
+            if seen[n, s, a]:
+                raise ValueError(f"repeated Q-table row: {line.strip()}")
             q[n, s, a] = value
             seen[n, s, a] = True
     missing = adj & ~seen

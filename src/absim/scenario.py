@@ -24,7 +24,7 @@ _STREAM_SALTS = {
     "fading": 401,       # per-slot small-scale fading (training)
     "egreedy": 503,      # exploration draws + random starts (training)
     "eval_fading": 601,  # fading during greedy evaluation
-    "eval_egreedy": 701, # kept for symmetry; greedy eval draws no actions
+    "eval_egreedy": 701, # random starts during greedy evaluation
 }
 
 
@@ -255,57 +255,29 @@ def config_hash(cfg: ScenarioConfig) -> str:
 # -- static scenario -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UserTerminal:
-    """Ground user. Position is fixed for the whole deployment."""
+def drop_users(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Drop n_users uniformly; a seeded shuffle picks the priority subset.
 
-    uid: int
-    x: float
-    y: float
-    priority: bool
-
-    @property
-    def position(self) -> tuple[float, float, float]:
-        return (self.x, self.y, 0.0)
-
-
-def drop_users(cfg: ScenarioConfig, rng: np.random.Generator | None = None) -> list[UserTerminal]:
-    """Drop n_users uniformly; a seeded shuffle picks the priority subset."""
-    if rng is None:
-        rng = rng_stream(cfg.seed, "users")
+    Returns the (n_users, 2) positions and the (n_users,) boolean priority
+    mask, both in user order.
+    """
+    rng = rng_stream(cfg.seed, "users")
     xs = rng.uniform(cfg.x_min, cfg.x_max, cfg.n_users)
     ys = rng.uniform(cfg.y_min, cfg.y_max, cfg.n_users)
     order = rng.permutation(cfg.n_users)
     pr = np.zeros(cfg.n_users, dtype=bool)
     pr[order[: cfg.n_priority()]] = True
-    return [UserTerminal(i, float(xs[i]), float(ys[i]), bool(pr[i]))
-            for i in range(cfg.n_users)]
+    return np.column_stack([xs, ys]), pr
 
 
-def user_arrays(users: list[UserTerminal]) -> tuple[np.ndarray, np.ndarray]:
-    """(n_users, 2) positions and the boolean priority mask, in uid order."""
-    xy = np.array([[u.x, u.y] for u in users], dtype=float)
-    pr = np.array([u.priority for u in users], dtype=bool)
-    return xy, pr
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Dense candidate waypoint positions, (n_candidates, 2)."""
-
-    nodes: np.ndarray
-    rule: str
-
-
-def generate_candidates(cfg: ScenarioConfig, rng: np.random.Generator | None = None) -> CandidateSet:
-    """Candidate waypoints per cfg.candidate_rule.
+def generate_candidates(cfg: ScenarioConfig) -> np.ndarray:
+    """The (n_candidates, 2) candidate waypoints per cfg.candidate_rule.
 
     "grid": the largest s x s lattice with s = floor(sqrt(n_candidates)),
     cell-centered (half-cell margin); any remainder is filled uniformly at
     random. "uniform": all candidates drawn uniformly.
     """
-    if rng is None:
-        rng = rng_stream(cfg.seed, "candidates")
+    rng = rng_stream(cfg.seed, "candidates")
     n0 = cfg.n_candidates
     if cfg.candidate_rule == "grid":
         s = math.isqrt(n0)
@@ -331,4 +303,4 @@ def generate_candidates(cfg: ScenarioConfig, rng: np.random.Generator | None = N
         dup = np.setdiff1d(np.arange(n0), first)
         nodes[dup, 0] = rng.uniform(cfg.x_min, cfg.x_max, dup.size)
         nodes[dup, 1] = rng.uniform(cfg.y_min, cfg.y_max, dup.size)
-    return CandidateSet(nodes=nodes, rule=cfg.candidate_rule)
+    return nodes

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import (ScenarioConfig, config_hash, drop_users, generate_candidates,
-                       rng_stream, user_arrays)
+from .scenario import ScenarioConfig, config_hash, drop_users, generate_candidates, rng_stream
 from .channel import ChannelParams, link_matrix, sample_fading
 from .radio import (LinkState, OutageStats, evaluate_slot, link_tables,
                     outage_keys, outage_stats, radio_constants, rate_bps)
@@ -68,12 +67,11 @@ class World:
 
 
 def condense_graph(method: str, nodes: np.ndarray, users_xy: np.ndarray,
-                   priority_mask: np.ndarray, cfg: ScenarioConfig,
-                   rng: np.random.Generator | None = None) -> CondensedGraph:
+                   priority_mask: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
     if method == "qa":
-        return qa_condense(nodes, cfg, rng)
+        return qa_condense(nodes, cfg)
     if method == "kmeans":
-        return kmeans_condense(nodes, cfg, rng)
+        return kmeans_condense(nodes, cfg)
     if method == "snrp":
         return snrp_condense(nodes, users_xy, priority_mask, cfg)
     raise ValueError(f"unknown condensation method: {method!r}")
@@ -101,8 +99,8 @@ def make_world(cfg: ScenarioConfig, users_xy: np.ndarray, priority_mask: np.ndar
 
 def build_world(cfg: ScenarioConfig, method: str) -> tuple[World, float]:
     """Drop users, condense the candidate set, precompute the world's tables."""
-    users_xy, priority_mask = user_arrays(drop_users(cfg))
-    nodes = generate_candidates(cfg).nodes
+    users_xy, priority_mask = drop_users(cfg)
+    nodes = generate_candidates(cfg)
     t0 = time.perf_counter()
     graph = condense_graph(method, nodes, users_xy, priority_mask, cfg)
     condense_time = time.perf_counter() - t0
@@ -310,7 +308,6 @@ class EvalResult:
     outage: dict              # mean outage {"network", "priority", "regular"}
     mean_rate_bps: float
     trajectory: list          # last episode, rows [uav, t, centroid, x, y]
-    episodes: list
 
 
 def _evaluate(batch: Lockstep, q: np.ndarray, audit: np.ndarray) -> list:
@@ -341,21 +338,14 @@ def _evaluate(batch: Lockstep, q: np.ndarray, audit: np.ndarray) -> list:
         results.append(EvalResult(
             outage=outage,
             mean_rate_bps=float(np.mean([r.mean_rate_bps for r in records])),
-            trajectory=rows, episodes=records))
+            trajectory=rows))
     return results
 
 
-def evaluate_policy(world: World, qtables: np.ndarray, audit: dict | None = None) -> EvalResult:
-    """Greedy rollout of one world's (n_uav, M, M) tables; see _evaluate.
-
-    Audit violations are added to audit when one is given.
-    """
-    counts = np.zeros((1, len(AUDIT_KEYS)), dtype=np.int64)
-    ev = _evaluate(Lockstep([world]), masked(qtables, world.feasible)[None], counts)[0]
-    if audit is not None:
-        for key, c in zip(AUDIT_KEYS, counts[0].tolist()):
-            audit[key] += c
-    return ev
+def evaluate_policy(world: World, qtables: np.ndarray) -> EvalResult:
+    """Greedy rollout of one world's (n_uav, M, M) tables; see _evaluate."""
+    audit = np.zeros((1, len(AUDIT_KEYS)), dtype=np.int64)
+    return _evaluate(Lockstep([world]), masked(qtables, world.feasible)[None], audit)[0]
 
 
 def train_lockstep(jobs: list) -> list:
@@ -441,15 +431,11 @@ def train(cfg: ScenarioConfig, method: str = "qa") -> TrainResult:
     return train_lockstep([(cfg, method)])[0]
 
 
-def with_seed(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
-    return dataclasses.replace(cfg, seed=seed)
-
-
 def compare_methods(cfg: ScenarioConfig, n_seeds: int,
                     methods: tuple = METHODS) -> dict:
     """Full train+evaluate per (method, seed), all in lockstep; seeds are
     cfg.seed + i."""
-    runs = iter(train_lockstep([(with_seed(cfg, cfg.seed + i), m)
+    runs = iter(train_lockstep([(dataclasses.replace(cfg, seed=cfg.seed + i), m)
                                 for m in methods for i in range(n_seeds)]))
     return {m: [next(runs) for _ in range(n_seeds)] for m in methods}
 
@@ -484,64 +470,60 @@ def run_dir(cfg: ScenarioConfig, root: str | None = None) -> str:
     return os.path.join(root, f"{config_hash(cfg)}-s{cfg.seed}")
 
 
-def write_centroids_csv(path, graph: CondensedGraph) -> None:
+def _write_csv(path, header: str, rows) -> None:
+    """header, then one line per row; floats in _f form, other cells as str."""
     with open(path, "w") as fh:
-        fh.write("id,x,y\n")
-        for i, (x, y) in enumerate(graph.centroids):
-            fh.write(f"{i},{_f(x)},{_f(y)}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_f(c) if isinstance(c, float) else str(c) for c in row) + "\n")
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_centroids_csv(path, graph: CondensedGraph) -> None:
+    _write_csv(path, "id,x,y", ((i, float(x), float(y))
+                                for i, (x, y) in enumerate(graph.centroids)))
 
 
 def write_edges_csv(path, graph: CondensedGraph) -> None:
-    with open(path, "w") as fh:
-        fh.write("src,dst,virtual\n")
-        for i, j, virt in graph.edges:
-            fh.write(f"{i},{j},{int(virt)}\n")
+    _write_csv(path, "src,dst,virtual", ((i, j, int(virt)) for i, j, virt in graph.edges))
 
 
 def write_anneal_trace_csv(path, trace: dict) -> None:
     """qa_condense's trace, one row per temperature step."""
-    rows = zip(*(trace[k].tolist() for k in ("temperature", "current", "best", "accepted")))
-    with open(path, "w") as fh:
-        fh.write("step,temperature,current,best,accepted\n")
-        for step, (temp, cur, best, acc) in enumerate(rows):
-            fh.write(f"{step},{_f(temp)},{_f(cur)},{_f(best)},{acc}\n")
+    cols = (trace[k].tolist() for k in ("temperature", "current", "best", "accepted"))
+    _write_csv(path, "step,temperature,current,best,accepted",
+               ((step,) + row for step, row in enumerate(zip(*cols))))
 
 
 def write_learning_curve_csv(path, report: RunReport) -> None:
-    with open(path, "w") as fh:
-        fh.write("episode,reward,eps\n")
-        for e, (r, eps) in enumerate(zip(report.reward_curve, report.eps_curve)):
-            fh.write(f"{e},{_f(r)},{_f(eps)}\n")
+    _write_csv(path, "episode,reward,eps", (
+        (e, r, float(eps)) for e, (r, eps) in enumerate(zip(report.reward_curve,
+                                                            report.eps_curve))))
 
 
 def write_outage_csv(path, reports: list) -> None:
     """One row per (method, class, seed); class covers network too."""
-    with open(path, "w") as fh:
-        fh.write("method,class,value,seed\n")
-        for rep in reports:
-            for cls in ("priority", "regular", "network"):
-                fh.write(f"{rep.method},{cls},{_f(rep.eval_outage[cls])},{rep.seed}\n")
+    _write_csv(path, "method,class,value,seed", (
+        (rep.method, cls, rep.eval_outage[cls], rep.seed)
+        for rep in reports for cls in ("priority", "regular", "network")))
 
 
 def write_trajectory_csv(path, report: RunReport) -> None:
-    with open(path, "w") as fh:
-        fh.write("uav,t,centroid,x,y\n")
-        for n, t, c, x, y in report.eval_trajectory:
-            fh.write(f"{n},{t},{c},{_f(x)},{_f(y)}\n")
+    _write_csv(path, "uav,t,centroid,x,y", report.eval_trajectory)
 
 
 def write_sweep_csv(path, rows: list) -> None:
-    with open(path, "w") as fh:
-        fh.write("mu_pr,seed,priority,regular,network\n")
-        for r in rows:
-            fh.write(f"{_f(r['mu_pr'])},{r['seed']},{_f(r['priority'])},"
-                     f"{_f(r['regular'])},{_f(r['network'])}\n")
+    _write_csv(path, "mu_pr,seed,priority,regular,network", (
+        (r["mu_pr"], r["seed"], r["priority"], r["regular"], r["network"]) for r in rows))
 
 
 def write_timings_json(path, timings: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(timings, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, timings)
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -554,17 +536,13 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def write_report_json(path, report: RunReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, report_to_dict(report))
 
 
 def write_compare_learning_curves_csv(path, reports: list) -> None:
-    with open(path, "w") as fh:
-        fh.write("method,seed,episode,reward,eps\n")
-        for rep in reports:
-            for e, (r, eps) in enumerate(zip(rep.reward_curve, rep.eps_curve)):
-                fh.write(f"{rep.method},{rep.seed},{e},{_f(r)},{_f(eps)}\n")
+    _write_csv(path, "method,seed,episode,reward,eps", (
+        (rep.method, rep.seed, e, r, float(eps)) for rep in reports
+        for e, (r, eps) in enumerate(zip(rep.reward_curve, rep.eps_curve))))
 
 
 def write_summary_md(path, reports: list) -> None:

@@ -121,6 +121,26 @@ def gathered_loss_slot(large_scale_db, fading, prev_assoc, cfg):
 # -- reference paths the pipeline no longer uses ----------------------------
 
 
+@dataclasses.dataclass(frozen=True)
+class LinkGeometry:
+    """3-D distance [m] and elevation angle [deg] of one UAV-user link."""
+
+    distance_m: float
+    theta_deg: float
+
+
+def link_geometry(uav_pos, user_pos) -> LinkGeometry:
+    """Geometry between a UAV at (x, y, h) and a ground user at (x, y, 0),
+    in scalar math: the oracle for channel.link_matrix."""
+    ux, uy, uh = float(uav_pos[0]), float(uav_pos[1]), float(uav_pos[2])
+    gx, gy = float(user_pos[0]), float(user_pos[1])
+    if uh <= 0.0:
+        raise ValueError("UAV altitude must be positive")
+    d = math.sqrt((ux - gx) ** 2 + (uy - gy) ** 2 + uh ** 2)
+    theta = math.degrees(math.asin(uh / d))
+    return LinkGeometry(distance_m=d, theta_deg=theta)
+
+
 def channel_gain(loss_db, fading):
     """Linear power gain 10^(-L/10) scaled by a fading draw."""
     g = np.power(10.0, -np.asarray(loss_db, dtype=float) / 10.0) * fading

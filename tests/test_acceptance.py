@@ -113,7 +113,7 @@ def test_criterion_05_metropolis_statistics():
 
 def test_criterion_06_condensation_quality():
     cfg = ScenarioConfig()                      # 400-node grid, M=33
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     best_km = min(
         kmeans_condense(nodes, cfg, rng_stream(s, "condense")).distortion
         for s in range(50))
@@ -211,7 +211,7 @@ def test_criterion_11_timing_report(tmp_path, capsys):
         cfg = dataclasses.replace(
             ScenarioConfig(), n_candidates=n0, anneal_i_max=50,
             proposals_per_temp=33)
-        nodes = generate_candidates(cfg).nodes
+        nodes = generate_candidates(cfg)
         best = math.inf
         for rep in range(3):
             t0 = time.perf_counter()

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.vq import kmeans2, vq
 
 from absim.condense import (accept, build_adjacency, distortion, kmeans_condense,
                             qa_condense, snr_proxy, snrp_condense)
-from absim.scenario import drop_users, generate_candidates, rng_stream, user_arrays
+from absim.scenario import drop_users, generate_candidates, rng_stream
 from helpers import greedy_bridge_adjacency, mk_cfg, propose
 
 
@@ -34,7 +35,7 @@ def test_distortion_matches_nested_loop():
 
 def test_propose_jump_branch_lands_on_candidates():
     cfg = mk_cfg(p_jump=1.0)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     rng = rng_stream(0, "condense")
     cents = nodes[:5].copy()
     for _ in range(50):
@@ -46,7 +47,7 @@ def test_propose_jump_branch_lands_on_candidates():
 
 def test_propose_local_branch_stays_close_and_inside():
     cfg = mk_cfg(p_jump=0.0)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     rng = rng_stream(1, "condense")
     cents = nodes[:5].copy()
     sigma = cfg.anneal_step_frac * cfg.area_width()
@@ -60,7 +61,7 @@ def test_propose_local_branch_stays_close_and_inside():
 
 def test_propose_jump_fraction_binomial():
     cfg = mk_cfg(p_jump=0.3)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     rng = rng_stream(2, "condense")
     cents = np.array([[173.3, 912.1], [411.7, 243.9], [1000.2, 87.4]])
     jumps = 0
@@ -93,7 +94,7 @@ def test_accept_rate_at_delta_equals_temperature():
 
 def test_qa_gives_zero_distortion_when_m_equals_n0():
     cfg = mk_cfg(n_candidates=33, n_centroids=33, anneal_i_max=30)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     graph = qa_condense(nodes, cfg)
     assert graph.distortion == 0.0
     assert sorted(map(tuple, graph.centroids)) == sorted(map(tuple, nodes))
@@ -102,7 +103,7 @@ def test_qa_gives_zero_distortion_when_m_equals_n0():
 def test_qa_desk_scale_quality():
     # 100-node grid, M=8: below own random init and near the k-means oracle
     cfg = mk_cfg(n_candidates=100, n_centroids=8)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     graph = qa_condense(nodes, cfg)
     assert graph.distortion < graph.init_distortion
     best_km = min(
@@ -113,7 +114,7 @@ def test_qa_desk_scale_quality():
 
 def test_qa_trace_best_is_monotone():
     cfg = mk_cfg(n_candidates=64, n_centroids=6)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     graph = qa_condense(nodes, cfg)
     best = graph.trace["best"]
     assert (np.diff(best) <= 0).all()
@@ -123,7 +124,7 @@ def test_qa_trace_best_is_monotone():
 
 def test_qa_incremental_distortion_bookkeeping_is_exact():
     cfg = mk_cfg(n_candidates=100, n_centroids=9)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     graph = qa_condense(nodes, cfg)
     assert graph.distortion == pytest.approx(
         distortion(nodes, graph.centroids), rel=1e-9)
@@ -143,7 +144,7 @@ def test_kmeans_two_clusters():
 
 def test_kmeans_single_centroid_is_global_mean():
     cfg = mk_cfg(n_candidates=30, n_centroids=1, n_uav=1)
-    nodes = generate_candidates(mk_cfg(n_candidates=30)).nodes
+    nodes = generate_candidates(mk_cfg(n_candidates=30))
     graph = kmeans_condense(nodes, cfg)
     assert np.allclose(graph.centroids[0], nodes.mean(axis=0), atol=1e-9)
 
@@ -151,7 +152,7 @@ def test_kmeans_single_centroid_is_global_mean():
 def test_kmeans_quality_against_sklearn():
     sklearn = pytest.importorskip("sklearn.cluster")
     cfg = mk_cfg(n_candidates=200, n_centroids=12)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     ours = min(kmeans_condense(nodes, cfg, rng_stream(s, "condense")).distortion
                for s in range(10))
     ref = sklearn.KMeans(n_clusters=12, n_init=10, random_state=0).fit(nodes)
@@ -159,9 +160,26 @@ def test_kmeans_quality_against_sklearn():
     assert ref.inertia_ <= 1.15 * ours
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kmeans_quality_against_scipy_kmeans2(seed):
+    # the same band as the sklearn oracle, from scipy, which is always there
+    cfg = mk_cfg(n_candidates=200, n_centroids=12, seed=seed)
+    nodes = generate_candidates(cfg)
+    ours = min(kmeans_condense(nodes, cfg, rng_stream(s, "condense")).distortion
+               for s in range(10))
+
+    def oracle(s):
+        codebook, _ = kmeans2(nodes, 12, minit="++", seed=np.random.default_rng(s))
+        return float((vq(nodes, codebook)[1] ** 2).sum())
+
+    ref = min(oracle(s) for s in range(10))
+    assert ours <= 1.15 * ref
+    assert ref <= 1.15 * ours
+
+
 def test_snrp_single_user_picks_nearest_candidates():
     cfg = mk_cfg(n_centroids=6, d_sep_m=0.0, n_users=1)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     user = np.array([[703.1, 697.4]])        # slightly off-center: no ties
     mask = np.array([False])
     graph = snrp_condense(nodes, user, mask, cfg)
@@ -172,8 +190,8 @@ def test_snrp_single_user_picks_nearest_candidates():
 
 def test_snrp_respects_separation_floor():
     cfg = mk_cfg(n_centroids=8, d_sep_m=120.0)
-    nodes = generate_candidates(cfg).nodes
-    xy, mask = user_arrays(drop_users(cfg))
+    nodes = generate_candidates(cfg)
+    xy, mask = drop_users(cfg)
     graph = snrp_condense(nodes, xy, mask, cfg)
     c = graph.centroids
     d = np.sqrt(((c[:, None] - c[None]) ** 2).sum(axis=2))
@@ -183,8 +201,8 @@ def test_snrp_respects_separation_floor():
 
 def test_snrp_relaxes_when_overconstrained():
     cfg = mk_cfg(n_centroids=10, d_sep_m=50_000.0)
-    nodes = generate_candidates(cfg).nodes
-    xy, mask = user_arrays(drop_users(cfg))
+    nodes = generate_candidates(cfg)
+    xy, mask = drop_users(cfg)
     graph = snrp_condense(nodes, xy, mask, cfg)
     assert graph.n_centroids == 10
     assert len(np.unique(graph.centroids, axis=0)) == 10
@@ -192,8 +210,8 @@ def test_snrp_relaxes_when_overconstrained():
 
 def test_snrp_first_pick_is_top_proxy():
     cfg = mk_cfg(n_centroids=5, d_sep_m=100.0)
-    nodes = generate_candidates(cfg).nodes
-    xy, mask = user_arrays(drop_users(cfg))
+    nodes = generate_candidates(cfg)
+    xy, mask = drop_users(cfg)
     proxy = snr_proxy(nodes, xy, mask, cfg)
     graph = snrp_condense(nodes, xy, mask, cfg)
     assert tuple(graph.centroids[0]) == tuple(nodes[int(np.argmax(proxy))])
@@ -243,13 +261,13 @@ def test_adjacency_matches_greedy_bridging_over_seeds(method):
     bridged = 0
     for seed in range(50):
         cfg = mk_cfg(seed=seed)
-        nodes = generate_candidates(cfg).nodes
+        nodes = generate_candidates(cfg)
         if method == "qa":
             graph = qa_condense(nodes, cfg)
         elif method == "kmeans":
             graph = kmeans_condense(nodes, cfg)
         else:
-            xy, mask = user_arrays(drop_users(cfg))
+            xy, mask = drop_users(cfg)
             graph = snrp_condense(nodes, xy, mask, cfg)
         _assert_matches_greedy_reference(graph, cfg)
         bridged += any(v for _, _, v in graph.edges)
@@ -308,8 +326,8 @@ def test_adjacency_invariants(points):
 @pytest.mark.parametrize("method", ["qa", "kmeans", "snrp"])
 def test_all_condensers_return_m_in_bounds(method):
     cfg = mk_cfg(n_centroids=7)
-    nodes = generate_candidates(cfg).nodes
-    xy, mask = user_arrays(drop_users(cfg))
+    nodes = generate_candidates(cfg)
+    xy, mask = drop_users(cfg)
     if method == "qa":
         graph = qa_condense(nodes, cfg)
     elif method == "kmeans":

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from absim.channel import ChannelParams, link_matrix, sample_fading
 from absim.radio import (LinkState, associate, db_to_linear, dbm_to_watt,
                          evaluate_slot, link_tables, outage_keys, outage_stats, rate_bps,
-                         tx_power_dbm, watt_to_dbm)
+                         tx_power_dbm)
 from absim.scenario import rng_stream
 from helpers import brute_force_slot, gathered_loss_slot, interference, mk_cfg, sinr
 
@@ -16,9 +16,6 @@ from helpers import brute_force_slot, gathered_loss_slot, interference, mk_cfg, 
 def test_dbm_watt_conversions():
     assert dbm_to_watt(0.0) == pytest.approx(1e-3)
     assert dbm_to_watt(30.0) == pytest.approx(1.0)
-    assert watt_to_dbm(1e-3) == pytest.approx(0.0)
-    xs = np.array([-90.0, -5.0, 23.0])
-    assert np.allclose(watt_to_dbm(dbm_to_watt(xs)), xs)
     assert db_to_linear(10.0) == pytest.approx(10.0)
 
 
@@ -222,7 +219,6 @@ def test_outage_stats_hand_case():
     assert stats.priority == pytest.approx(0.5)
     assert stats.regular == 0.0               # empty class counts as 0
     assert stats.network == pytest.approx(0.5)
-    assert stats.per_abs.tolist() == [1.0, 0.0, 0.0]   # ABS 2 served nobody
 
 
 def test_outage_stats_all_clear():

@@ -282,6 +282,8 @@ def test_qtable_export_import_roundtrip(tmp_path):
                  "non-finite", id="nan"),
     pytest.param(lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + ",-inf"],
                  "non-finite", id="-inf"),
+    pytest.param(lambda lines: lines + [lines[1].rsplit(",", 1)[0] + ",123.0"],
+                 "repeated", id="repeat"),
 ])
 def test_qtable_import_rejects_corruption(tmp_path, mutation, complaint):
     cfg, graph, _ = _chain(4)

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absim.scenario import (CandidateSet, ConfigError, ScenarioConfig, config_from_dict,
-                            config_hash, drop_users, generate_candidates, load_config,
-                            rng_stream, user_arrays)
+from absim.scenario import (ConfigError, ScenarioConfig, config_from_dict, config_hash,
+                            drop_users, generate_candidates, load_config, rng_stream)
 from helpers import mk_cfg
 
 
@@ -125,35 +124,25 @@ def test_n_priority_rounds():
 
 def test_drop_users_counts_and_bounds():
     cfg = mk_cfg()
-    users = drop_users(cfg)
-    assert len(users) == cfg.n_users
-    assert sum(u.priority for u in users) == cfg.n_priority()
-    for u in users:
-        assert cfg.x_min <= u.x <= cfg.x_max
-        assert cfg.y_min <= u.y <= cfg.y_max
-        assert u.position[2] == 0.0
+    xy, pr = drop_users(cfg)
+    assert xy.shape == (cfg.n_users, 2) and pr.shape == (cfg.n_users,)
+    assert pr.dtype == bool and pr.sum() == cfg.n_priority()
+    assert ((cfg.x_min <= xy[:, 0]) & (xy[:, 0] <= cfg.x_max)).all()
+    assert ((cfg.y_min <= xy[:, 1]) & (xy[:, 1] <= cfg.y_max)).all()
 
 
 def test_drop_users_seeded():
     cfg = mk_cfg()
-    a = drop_users(cfg)
-    b = drop_users(cfg)
-    c = drop_users(mk_cfg(seed=1))
-    assert [(u.x, u.y, u.priority) for u in a] == [(u.x, u.y, u.priority) for u in b]
-    assert [(u.x, u.y) for u in a] != [(u.x, u.y) for u in c]
-
-
-def test_user_arrays_align_with_uids():
-    users = drop_users(mk_cfg())
-    xy, pr = user_arrays(users)
-    assert xy.shape == (len(users), 2)
-    assert pr.dtype == bool
-    assert xy[3][0] == users[3].x and pr[3] == users[3].priority
+    a_xy, a_pr = drop_users(cfg)
+    b_xy, b_pr = drop_users(cfg)
+    c_xy, _ = drop_users(mk_cfg(seed=1))
+    assert np.array_equal(a_xy, b_xy) and np.array_equal(a_pr, b_pr)
+    assert not np.array_equal(a_xy, c_xy)
 
 
 def test_grid_candidates_exact_square():
     cfg = mk_cfg(n_candidates=100)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     assert nodes.shape == (100, 2)
     xs = np.unique(nodes[:, 0])
     assert len(xs) == 10
@@ -164,7 +153,7 @@ def test_grid_candidates_exact_square():
 
 def test_grid_candidates_remainder_filled_randomly():
     cfg = mk_cfg(n_candidates=150)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     assert nodes.shape == (150, 2)
     assert len(np.unique(nodes, axis=0)) == 150
     # 12x12 lattice plus 6 fill-ins
@@ -175,9 +164,8 @@ def test_grid_candidates_remainder_filled_randomly():
 def test_uniform_candidates():
     cfg = mk_cfg(candidate_rule="uniform", n_candidates=64)
     got = generate_candidates(cfg)
-    assert isinstance(got, CandidateSet) and got.rule == "uniform"
-    assert got.nodes.shape == (64, 2)
-    assert np.array_equal(got.nodes, generate_candidates(cfg).nodes)
+    assert got.shape == (64, 2)
+    assert np.array_equal(got, generate_candidates(cfg))
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,7 +173,7 @@ def test_uniform_candidates():
        rule=st.sampled_from(["grid", "uniform"]))
 def test_candidates_always_in_bounds_and_distinct(seed, n0, rule):
     cfg = mk_cfg(seed=seed, n_candidates=n0, n_centroids=3, candidate_rule=rule)
-    nodes = generate_candidates(cfg).nodes
+    nodes = generate_candidates(cfg)
     assert nodes.shape == (n0, 2)
     assert len(np.unique(nodes, axis=0)) == n0
     assert (nodes[:, 0] >= cfg.x_min).all() and (nodes[:, 0] <= cfg.x_max).all()

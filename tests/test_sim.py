@@ -18,7 +18,7 @@ from absim.scenario import config_hash
 from absim.sim import (AUDIT_KEYS, METHODS, Lockstep, _audit_moves, build_world,
                        compare_methods, condense_graph, evaluate_policy, make_world,
                        report_to_dict, run_dir, run_episode, start_states, sweep_mu, train,
-                       train_lockstep, with_seed,
+                       train_lockstep,
                        write_centroids_csv, write_compare_learning_curves_csv,
                        write_edges_csv, write_learning_curve_csv, write_outage_csv,
                        write_report_json, write_summary_md, write_sweep_csv,
@@ -279,7 +279,7 @@ def test_compare_methods_equals_solo_train(overrides, tmp_path):
     results = compare_methods(cfg, n_seeds=3)
     for m in METHODS:
         for i, res in enumerate(results[m]):
-            solo = train(with_seed(cfg, cfg.seed + i), m)
+            solo = train(dataclasses.replace(cfg, seed=cfg.seed + i), m)
             assert (_report_bytes(res.report, tmp_path, "batch")
                     == _report_bytes(solo.report, tmp_path, "solo")), (m, i)
             assert np.array_equal(res.qtables, solo.qtables)
@@ -302,7 +302,7 @@ def test_sweep_mu_equals_solo_train(tmp_path):
 
 
 def test_lockstep_splits_wall_time_evenly():
-    results = train_lockstep([(with_seed(mk_cfg(), s), "kmeans") for s in range(3)])
+    results = train_lockstep([(dataclasses.replace(mk_cfg(), seed=s), "kmeans") for s in range(3)])
     assert len({r.report.rl_time_s for r in results}) == 1
     assert len({r.report.eval_time_s for r in results}) == 1
     assert results[0].report.rl_time_s > 0.0
