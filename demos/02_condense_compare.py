@@ -10,7 +10,7 @@ with each of the three condensers and compares what comes out.
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from absim.condense import distortion, kmeans_condense, qa_condense, snrp_condense
+from absim.condense import kmeans_condense, qa_condense, snrp_condense
 from absim.scenario import ScenarioConfig, drop_users, generate_candidates, rng_stream
 
 cfg = ScenarioConfig()

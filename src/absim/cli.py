@@ -2,7 +2,8 @@
 
 Subcommands: condense, train, evaluate, sweep, compare, config.
 Exit codes: 0 success, 2 usage or configuration errors (argparse failures,
-bad config values, missing Q-table snapshots), 1 runtime failures.
+bad or non-finite config values, a --qtable that is not a file or does not
+match the config), 1 runtime failures.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load(args)
-    if not os.path.exists(args.qtable):
-        raise ConfigError(f"Q-table snapshot not found: {args.qtable}")
+    if not os.path.isfile(args.qtable):
+        raise ConfigError(f"Q-table snapshot missing or not a file: {args.qtable}")
     out = _outdir(args, cfg)
     world, _ = build_world(cfg, args.method)
     try:
@@ -153,7 +154,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"Q-table snapshot does not match this config: {exc}")
     ev = evaluate_policy(world, qtables)
     _write_json(os.path.join(out, "evaluation.json"),
-                {"outage": ev.outage, "mean_rate_bps": ev.mean_rate_bps})
+                {"outage": ev.outage, "mean_rate_bps": ev.mean_rate_bps, "audit": ev.audit})
     print(f"outage: network={ev.outage['network']:.4f} "
           f"priority={ev.outage['priority']:.4f} regular={ev.outage['regular']:.4f}")
     return 0

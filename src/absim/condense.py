@@ -36,7 +36,7 @@ class CondensedGraph:
     """M waypoint centroids plus the slot-reachability graph over them."""
 
     centroids: np.ndarray        # (M, 2)
-    neighbors: list              # per node: sorted int array, self included
+    adj: np.ndarray              # (M, M) bool, s -> a in one slot: the action set
     edges: list                  # (src, dst, virtual) with src < dst
     method: str
     distortion: float            # final clustering distortion vs candidates
@@ -46,14 +46,6 @@ class CondensedGraph:
     @property
     def n_centroids(self) -> int:
         return len(self.centroids)
-
-    def adjacency(self) -> np.ndarray:
-        """(M, M) bool, True where a move from s to a follows an edge or hovers."""
-        m = self.n_centroids
-        adj = np.zeros((m, m), dtype=bool)
-        for s, nb in enumerate(self.neighbors):
-            adj[s, nb] = True
-        return adj
 
 
 def distortion(nodes: np.ndarray, centroids: np.ndarray) -> float:
@@ -285,7 +277,8 @@ def build_adjacency(centroids: np.ndarray, cfg: ScenarioConfig, method: str = ""
                     dist: float = float("nan")) -> CondensedGraph:
     """Radius graph over centroids: edge iff reachable in one slot.
 
-    Every node gets a self-loop (hover). If the graph is disconnected,
+    adj holds every move: the hover (d = 0), each pair with d^2 <= r^2 and
+    the virtual bridges. If the graph is disconnected,
     minimum-length bridges join the closest component pair until one
     component remains; those edges are flagged virtual. That greedy rule is
     Kruskal's algorithm (Kruskal 1956) on the components: pairs are taken
@@ -294,9 +287,10 @@ def build_adjacency(centroids: np.ndarray, cfg: ScenarioConfig, method: str = ""
     """
     m = len(centroids)
     d2 = cdist(centroids, centroids, "sqeuclidean")
+    adj = d2 <= cfg.move_radius_m() ** 2
     iu, ju = np.triu_indices(m, 1)             # upper triangle, row-major
     pair_d2 = d2[iu, ju]
-    near = pair_d2 <= cfg.move_radius_m() ** 2
+    near = adj[iu, ju]
     edges = [(i, j, False) for i, j in zip(iu[near].tolist(), ju[near].tolist())]
 
     parent = list(range(m))
@@ -322,14 +316,9 @@ def build_adjacency(centroids: np.ndarray, cfg: ScenarioConfig, method: str = ""
         for i, j in zip(iu[cross][order].tolist(), ju[cross][order].tolist()):
             if union(i, j):
                 edges.append((i, j, True))
+                adj[i, j] = adj[j, i] = True
                 n_comp -= 1
                 if n_comp == 1:
                     break
-
-    neighbors = [[i] for i in range(m)]
-    for i, j, _ in edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    neighbors = [np.array(sorted(nb), dtype=int) for nb in neighbors]
-    return CondensedGraph(centroids=centroids, neighbors=neighbors,
-                          edges=sorted(edges), method=method, distortion=dist)
+    return CondensedGraph(centroids=centroids, adj=adj, edges=sorted(edges),
+                          method=method, distortion=dist)

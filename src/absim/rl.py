@@ -1,9 +1,8 @@
 """Independent per-UAV tabular Q-learning on the condensed waypoint graph.
 
-State: the UAV's own centroid. Action: the next centroid, restricted to
-graph neighbors reachable in one slot (hover included). Each UAV keeps its
-own table and learns from its own reward; coordination is emergent, not
-communicated.
+State: the UAV's own centroid. Action: the next centroid, one of the
+graph's one-slot moves (hover included). Each UAV keeps its own table and
+learns from its own reward; coordination is emergent, not communicated.
 
 Update rule per transition (s, a, r, s'):
 
@@ -11,11 +10,12 @@ Update rule per transition (s, a, r, s'):
     Q[s][a] = (1 - alpha_q) * Q[s][a] + alpha_q * y
 
 A world's tables are one dense (n_uav, M, M) array Q[n, s, a]. The
-learner's working copy holds -inf wherever the world's (M, M) `feasible`
-table is False (see masked), so a greedy pick is a plain argmax and a
-bootstrap a plain max; snapshots (export_qtables, load_qtables) hold 0
-there instead. Worlds stepped in lockstep stack these along a leading world
-axis, so selection and backups take one call per slot.
+feasible moves are the condensed graph's (M, M) adjacency `graph.adj`. The
+learner's working copy holds -inf off it (see masked), so a greedy pick is
+a plain argmax and a bootstrap a plain max; snapshots (export_qtables,
+load_qtables) hold 0 there instead. Worlds stepped in lockstep stack these
+along a leading world axis, so selection and backups take one call per
+slot.
 """
 
 from __future__ import annotations
@@ -29,29 +29,12 @@ from .scenario import ScenarioConfig
 from .condense import CondensedGraph
 
 
-def feasible_table(graph: CondensedGraph, cfg: ScenarioConfig) -> np.ndarray:
-    """(M, M) bool, True where a may follow s in one slot.
-
-    A neighbor is feasible if it is the node itself (hover), lies within
-    the one-slot move radius, or is joined by a virtual corridor edge
-    (connectivity repair would be pointless if the corridor were barred).
-    Every row keeps its hover entry, so no state is left without a move.
-    """
-    c = graph.centroids
-    dist = np.linalg.norm(c[None, :, :] - c[:, None, :], axis=2)   # [s, a]: |c_a - c_s|
-    ok = np.eye(len(c), dtype=bool) | (dist <= cfg.move_radius_m())
-    for i, j, virt in graph.edges:
-        if virt:
-            ok[i, j] = ok[j, i] = True
-    return ok & graph.adjacency()
-
-
-def move_table(feasible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible targets per state, ascending and left-aligned in an (M, M)
-    table padded with -1, and their count per state."""
-    m = feasible.shape[-1]
-    n_moves = feasible.sum(axis=-1)
-    first = np.argsort(~feasible, axis=-1, kind="stable")
+def move_table(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Targets per state of an (M, M) adjacency, ascending and left-aligned
+    in an (M, M) table padded with -1, and their count per state."""
+    m = adj.shape[-1]
+    n_moves = adj.sum(axis=-1)
+    first = np.argsort(~adj, axis=-1, kind="stable")
     return np.where(np.arange(m) < n_moves[:, None], first, -1), n_moves
 
 
@@ -63,10 +46,10 @@ def _index_arrays(n_worlds: int, n_uav: int):
     return w, n
 
 
-def masked(q: np.ndarray, feasible: np.ndarray) -> np.ndarray:
-    """Q-tables with -inf off the feasible moves; feasible broadcasts as an
+def masked(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Q-tables with -inf off the graph's moves; adj broadcasts as an
     (..., M, M) table per world."""
-    return np.where(feasible[..., None, :, :], q, -np.inf)
+    return np.where(adj[..., None, :, :], q, -np.inf)
 
 
 def select_action(q: np.ndarray, states: np.ndarray, eps: float, rngs: list,
@@ -122,19 +105,19 @@ def td_update(q: np.ndarray, states: np.ndarray, actions: np.ndarray,
 def export_qtables(path, qtables: np.ndarray, graph: CondensedGraph) -> None:
     """CSV snapshot of one world's (n_uav, M, M) tables, one row per
     (uav, state, action) graph move."""
+    states, actions = np.nonzero(graph.adj)     # row-major: by state, then action
     with open(path, "w") as fh:
         fh.write("uav,state,action,value\n")
         for n, q in enumerate(qtables):
-            for s, nb in enumerate(graph.neighbors):
-                for a, v in zip(nb.tolist(), q[s, nb].tolist()):
-                    fh.write(f"{n},{s},{a},{v!r}\n")
+            for s, a, v in zip(states.tolist(), actions.tolist(), q[states, actions].tolist()):
+                fh.write(f"{n},{s},{a},{v!r}\n")
 
 
 def load_qtables(path, graph: CondensedGraph, n_uav: int) -> np.ndarray:
     """Rebuild the (n_uav, M, M) tables from export_qtables output; the
     rows must cover the graph's moves, each exactly once."""
     m = graph.n_centroids
-    adj = graph.adjacency()
+    adj = graph.adj
     q = np.zeros((n_uav, m, m))
     seen = np.zeros((n_uav, m, m), dtype=bool)
     with open(path) as fh:

@@ -137,6 +137,10 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Raise ConfigError naming the offending field."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite")
         c = self
         checks = [
             (c.x_max > c.x_min, "x_max", "x_max must exceed x_min"),
@@ -161,7 +165,6 @@ class ScenarioConfig:
             (c.carrier_hz > 0, "carrier_hz", "must be positive"),
             (c.ref_loss_k0 is None or c.ref_loss_k0 > 0, "ref_loss_k0", "must be positive"),
             (c.bandwidth_hz > 0, "bandwidth_hz", "must be positive"),
-            (math.isfinite(c.gamma_th_db), "gamma_th_db", "must be finite"),
             (c.n_rb >= 1, "n_rb", "need at least one resource block"),
             (0.0 <= c.alpha_ol <= 1.0, "alpha_ol", "must be in [0, 1]"),
             (c.mu_pr > 0, "mu_pr", "must be positive"),
@@ -222,7 +225,10 @@ def config_from_dict(overrides: dict) -> ScenarioConfig:
         else:
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ConfigError(f"{key}: expected number, got {val!r}")
-            coerced[key] = float(val)
+            try:
+                coerced[key] = float(val)
+            except OverflowError:       # an integer literal beyond float range
+                raise ConfigError(f"{key}: must be finite") from None
     cfg = ScenarioConfig(**coerced)
     cfg.validate()
     return cfg

@@ -32,7 +32,7 @@ from .channel import ChannelParams, link_matrix, sample_fading
 from .radio import (LinkState, OutageStats, evaluate_slot, link_tables,
                     outage_keys, outage_stats, radio_constants, rate_bps)
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
-from .rl import feasible_table, masked, move_table, reward, select_action, td_update
+from .rl import masked, move_table, reward, select_action, td_update
 
 METHODS = ("qa", "kmeans", "snrp")
 
@@ -53,7 +53,8 @@ class World:
 
     Users never move and UAVs only ever sit on centroids, so the large-scale
     loss of every link a slot can use, and the legality of every move, are
-    tables built once here; a slot only gathers from them.
+    tables built once; a slot only gathers from them. The learner's moves
+    are graph.adj.
     """
 
     cfg: ScenarioConfig
@@ -61,8 +62,6 @@ class World:
     priority_mask: np.ndarray
     graph: CondensedGraph
     loss_db: np.ndarray       # (n_users, M) large-scale loss to every centroid
-    feasible: np.ndarray      # (M, M) bool, moves the learner may pick
-    is_neighbor: np.ndarray   # (M, M) bool, graph adjacency incl. self-loops
     move_ok: np.ndarray       # (M, M) bool, within one slot's flight or virtual
 
 
@@ -79,11 +78,10 @@ def condense_graph(method: str, nodes: np.ndarray, users_xy: np.ndarray,
 
 def make_world(cfg: ScenarioConfig, users_xy: np.ndarray, priority_mask: np.ndarray,
                graph: CondensedGraph) -> World:
-    """Precompute the learner's moves, the loss table and the move-audit tables.
+    """Precompute the loss table and the move audit's distance table.
 
     move_ok comes from raw centroid distances and the virtual edges, not
-    from the learner's feasible table, so the audit stays an independent
-    check.
+    from graph.adj, so the audit stays an independent check of the graph.
     """
     _, loss_db = link_matrix(graph.centroids, cfg.altitude_m, users_xy,
                              ChannelParams.from_config(cfg))
@@ -93,8 +91,7 @@ def make_world(cfg: ScenarioConfig, users_xy: np.ndarray, priority_mask: np.ndar
         if virt:
             move_ok[i, j] = move_ok[j, i] = True
     return World(cfg=cfg, users_xy=users_xy, priority_mask=priority_mask, graph=graph,
-                 loss_db=loss_db, feasible=feasible_table(graph, cfg),
-                 is_neighbor=graph.adjacency(), move_ok=move_ok)
+                 loss_db=loss_db, move_ok=move_ok)
 
 
 def build_world(cfg: ScenarioConfig, method: str) -> tuple[World, float]:
@@ -130,16 +127,15 @@ class Lockstep:
         self.cfg = cfg
         self.links = link_tables(np.stack([w.loss_db for w in worlds]), cfg)
         self.outage_keys = outage_keys(np.stack([w.priority_mask for w in worlds]), cfg.n_uav)
-        self.feasible = np.stack([w.feasible for w in worlds])
+        self.adj = np.stack([w.graph.adj for w in worlds])
         # the exploration loop reads the move tables as nested lists
-        tables = [move_table(w.feasible) for w in worlds]
+        tables = [move_table(adj) for adj in self.adj]
         self.moves = [moves.tolist() for moves, _ in tables]
         self.n_moves = [n_moves.tolist() for _, n_moves in tables]
         # [world, s, a] audit bits of a move: 1 no edge, 2 beyond one slot's
         # flight; column M stands for every target off the graph (bit 4)
         self.move_flags = np.full((len(worlds), m, m + 1), 4, dtype=np.uint8)
-        self.move_flags[:, :, :m] = np.stack([~w.is_neighbor + 2 * ~w.move_ok
-                                              for w in worlds])
+        self.move_flags[:, :, :m] = ~self.adj + 2 * ~np.stack([w.move_ok for w in worlds])
         self.world_col = np.arange(len(worlds))[:, None]
         self.p_cap_w = radio_constants(cfg).p_max_w * (1.0 + 1e-12)
         self.mu_pr = np.array([[w.cfg.mu_pr] for w in worlds])
@@ -299,7 +295,7 @@ class RunReport:
 class TrainResult:
     report: RunReport
     world: World
-    qtables: np.ndarray       # (n_uav, M, M), 0 off the feasible moves
+    qtables: np.ndarray       # (n_uav, M, M), 0 off graph.adj
     episodes: list            # EpisodeRecord per training episode
 
 
@@ -308,9 +304,10 @@ class EvalResult:
     outage: dict              # mean outage {"network", "priority", "regular"}
     mean_rate_bps: float
     trajectory: list          # last episode, rows [uav, t, centroid, x, y]
+    audit: dict               # violations counted over the rollout, by AUDIT_KEYS
 
 
-def _evaluate(batch: Lockstep, q: np.ndarray, audit: np.ndarray) -> list:
+def _evaluate(batch: Lockstep, q: np.ndarray) -> list:
     """Greedy rollout (eps = 0) of every world over cfg.eval_episodes fresh
     episodes; an EvalResult per world.
 
@@ -319,6 +316,7 @@ def _evaluate(batch: Lockstep, q: np.ndarray, audit: np.ndarray) -> list:
     """
     rng_fading = [rng_stream(w.cfg.seed, "eval_fading") for w in batch.worlds]
     rng_act = [rng_stream(w.cfg.seed, "eval_egreedy") for w in batch.worlds]
+    audit = np.zeros((len(batch), len(AUDIT_KEYS)), dtype=np.int64)
     episodes = [run_episode(batch, q, 0.0, rng_fading, rng_act, learn=False,
                             audit=audit, index=e)
                 for e in range(batch.cfg.eval_episodes)]
@@ -338,14 +336,14 @@ def _evaluate(batch: Lockstep, q: np.ndarray, audit: np.ndarray) -> list:
         results.append(EvalResult(
             outage=outage,
             mean_rate_bps=float(np.mean([r.mean_rate_bps for r in records])),
-            trajectory=rows))
+            trajectory=rows,
+            audit=dict(zip(AUDIT_KEYS, audit[k].tolist()))))
     return results
 
 
 def evaluate_policy(world: World, qtables: np.ndarray) -> EvalResult:
     """Greedy rollout of one world's (n_uav, M, M) tables; see _evaluate."""
-    audit = np.zeros((1, len(AUDIT_KEYS)), dtype=np.int64)
-    return _evaluate(Lockstep([world]), masked(qtables, world.feasible)[None], audit)[0]
+    return _evaluate(Lockstep([world]), masked(qtables, world.graph.adj)[None])[0]
 
 
 def train_lockstep(jobs: list) -> list:
@@ -374,8 +372,8 @@ def train_lockstep(jobs: list) -> list:
     batch = Lockstep(worlds)
     cfg = batch.cfg
     n = len(batch)
-    m = batch.feasible.shape[-1]
-    q = masked(np.zeros((n, cfg.n_uav, m, m)), batch.feasible)
+    m = batch.adj.shape[-1]
+    q = masked(np.zeros((n, cfg.n_uav, m, m)), batch.adj)
     audit = np.zeros((n, len(AUDIT_KEYS)), dtype=np.int64)
     rng_fading = [rng_stream(w.cfg.seed, "fading") for w in batch.worlds]
     rng_act = [rng_stream(w.cfg.seed, "egreedy") for w in batch.worlds]
@@ -390,7 +388,7 @@ def train_lockstep(jobs: list) -> list:
     rl_time = (time.perf_counter() - t0) / n
 
     t0 = time.perf_counter()
-    evals = _evaluate(batch, q, audit)
+    evals = _evaluate(batch, q)
     eval_time = (time.perf_counter() - t0) / n
 
     results = []
@@ -415,13 +413,13 @@ def train_lockstep(jobs: list) -> list:
             eval_outage=ev.outage,
             eval_mean_rate_bps=ev.mean_rate_bps,
             eval_trajectory=ev.trajectory,
-            audit=dict(zip(AUDIT_KEYS, audit[k].tolist())),
+            audit={key: c + ev.audit[key] for key, c in zip(AUDIT_KEYS, audit[k].tolist())},
             condense_time_s=condense_time,
             rl_time_s=rl_time,
             eval_time_s=eval_time,
         )
         results.append(TrainResult(report=report, world=world,
-                                   qtables=np.where(world.feasible, q[k], 0.0),
+                                   qtables=np.where(world.graph.adj, q[k], 0.0),
                                    episodes=records))
     return results
 

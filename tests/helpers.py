@@ -170,16 +170,21 @@ def propose(centroids, nodes, rng, cfg):
     return out
 
 
+def neighbors(graph) -> list:
+    """Per state, the targets of graph.adj as an ascending index array."""
+    return [np.flatnonzero(row) for row in graph.adj]
+
+
 def feasible_actions(graph, s: int, cfg) -> np.ndarray:
-    """Feasible targets of state s, ascending, by a per-neighbor loop: the
-    hover, a move within the radius, or a virtual corridor."""
+    """Targets of state s, ascending, by a loop over every centroid: the
+    hover, a move within the radius, or a virtual corridor. Reads neither
+    graph.adj nor any neighbour list."""
     radius = cfg.move_radius_m()
     virt = {(i, j) for i, j, v in graph.edges if v}
-    nb = graph.neighbors[s]
-    d = np.linalg.norm(graph.centroids[nb] - graph.centroids[s], axis=1)
-    return np.array([int(a) for k, a in enumerate(nb)
-                     if a == s or d[k] <= radius or (min(s, int(a)), max(s, int(a))) in virt],
-                    dtype=int)
+    c = graph.centroids
+    return np.array([a for a in range(len(c))
+                     if a == s or np.linalg.norm(c[a] - c[s]) <= radius
+                     or (min(s, a), max(s, a)) in virt], dtype=int)
 
 
 def greedy_bridge_adjacency(centroids, cfg):

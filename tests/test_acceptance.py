@@ -24,11 +24,10 @@ from scipy import stats
 from absim.cli import main
 from absim.condense import accept, kmeans_condense, qa_condense
 from absim.radio import evaluate_slot, link_tables
-from absim.rl import feasible_table
 from absim.scenario import ScenarioConfig, generate_candidates, rng_stream
 from absim.sim import METHODS, compare_methods, sweep_mu, train
 from absim.channel import ChannelParams, link_matrix, sample_fading
-from helpers import brute_force_slot, mk_cfg, td_step
+from helpers import brute_force_slot, mk_cfg, neighbors, td_step
 
 SEEDS = 5
 MU_VALUES = (15.0, 30.0, 45.0, 60.0, 80.0)
@@ -149,12 +148,12 @@ def test_criterion_08_q_learning_chain_oracle():
     cfg = dataclasses.replace(mk_cfg(), alpha_q=0.5, zeta=0.9)
     cents = np.column_stack([200.0 * np.arange(5), np.zeros(5)])
     graph = build_adjacency(cents, cfg)
-    feasible = feasible_table(graph, cfg)
+    feasible = graph.adj
     goal = 4
     reward_of = lambda a: 0.0 if a == goal else -1.0
 
     q = np.zeros((5, 5))
-    pairs = [(s, int(a)) for s in range(5) for a in graph.neighbors[s]]
+    pairs = [(s, int(a)) for s in range(5) for a in neighbors(graph)[s]]
     for k in range(10_000):
         s, a = pairs[k % len(pairs)]
         td_step(q, s, a, reward_of(a), a, cfg, feasible)
@@ -162,14 +161,14 @@ def test_criterion_08_q_learning_chain_oracle():
     v = np.zeros(5)
     for _ in range(5000):
         nxt = np.array([max(reward_of(int(a)) + cfg.zeta * v[int(a)]
-                            for a in graph.neighbors[s]) for s in range(5)])
+                            for a in neighbors(graph)[s]) for s in range(5)])
         if np.abs(nxt - v).max() < 1e-14:
             break
         v = nxt
     for s in range(5):
         q_star = np.array([reward_of(int(a)) + cfg.zeta * v[int(a)]
-                           for a in graph.neighbors[s]])
-        vals = q[s, graph.neighbors[s]]
+                           for a in neighbors(graph)[s]])
+        vals = q[s, neighbors(graph)[s]]
         assert np.abs(vals - q_star).max() <= 1e-6, f"state {s}"
         assert int(np.argmax(vals)) == int(np.argmax(q_star)), f"state {s}"
 

@@ -3,12 +3,10 @@
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from absim.cli import main
 from absim.scenario import ScenarioConfig
-from helpers import mk_cfg
 
 
 @pytest.fixture()
@@ -50,6 +48,21 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     bad.write_text('{"n_uavs": 3}')
     assert main(["train", "--config", str(bad)]) == 2
     assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,literal", [
+    ("p0_dbm", "NaN"), ("mu_pr", "Infinity"), ("x_max", "-Infinity"),
+    ("gamma_th_db", "NaN"), ("v_max_mps", "Infinity"), ("alpha_q", "-Infinity"),
+    pytest.param("p_max_dbm", "1" + "0" * 400, id="p_max_dbm-int-1e400"),
+])
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys, field, literal):
+    # json reads NaN and +-Infinity, and an integer past float range would
+    # become one; a non-finite value must not reach training
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"{field}": {literal}}}')
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert f"{field}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_method_is_argparse_error(tiny_config):
@@ -126,6 +139,12 @@ def test_evaluate_requires_existing_snapshot(tiny_config, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_directory_snapshot(tiny_config, tmp_path, capsys):
+    assert main(["evaluate", "--config", tiny_config, "--qtable", str(tmp_path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "not a file" in capsys.readouterr().err
+
+
 def test_evaluate_matches_training_eval(tiny_config, tmp_path, capsys):
     out = tmp_path / "train"
     assert main(["train", "--config", tiny_config, "--out", str(out)]) == 0
@@ -135,6 +154,7 @@ def test_evaluate_matches_training_eval(tiny_config, tmp_path, capsys):
                  "--qtable", str(out / "qtable.csv"), "--out", str(out2)]) == 0
     ev = json.loads((out2 / "evaluation.json").read_text())
     assert ev["outage"] == rep["eval_outage"]              # byte-equal floats
+    assert set(ev["audit"]) == set(rep["audit"])
     capsys.readouterr()
 
 

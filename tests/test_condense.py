@@ -11,7 +11,7 @@ from scipy.cluster.vq import kmeans2, vq
 from absim.condense import (accept, build_adjacency, distortion, kmeans_condense,
                             qa_condense, snr_proxy, snrp_condense)
 from absim.scenario import drop_users, generate_candidates, rng_stream
-from helpers import greedy_bridge_adjacency, mk_cfg, propose
+from helpers import greedy_bridge_adjacency, mk_cfg, neighbors, propose
 
 
 def test_distortion_hand_values():
@@ -224,8 +224,8 @@ def test_adjacency_threshold_inclusive_path():
     graph = build_adjacency(cents, cfg)
     assert [(i, j) for i, j, v in graph.edges if not v] == [(0, 1), (1, 2)]
     assert not [e for e in graph.edges if e[2]]
-    assert graph.neighbors[0].tolist() == [0, 1]
-    assert graph.neighbors[1].tolist() == [0, 1, 2]
+    assert np.flatnonzero(graph.adj[0]).tolist() == [0, 1]
+    assert np.flatnonzero(graph.adj[1]).tolist() == [0, 1, 2]
 
 
 def test_adjacency_bridges_disconnected_pair():
@@ -249,9 +249,9 @@ def test_adjacency_matches_pairwise_oracle():
 
 
 def _assert_matches_greedy_reference(graph, cfg):
-    edges, neighbors = greedy_bridge_adjacency(graph.centroids, cfg)
+    edges, want = greedy_bridge_adjacency(graph.centroids, cfg)
     assert graph.edges == edges
-    assert [nb.tolist() for nb in graph.neighbors] == [nb.tolist() for nb in neighbors]
+    assert [nb.tolist() for nb in neighbors(graph)] == [nb.tolist() for nb in want]
 
 
 @pytest.mark.parametrize("method", ["qa", "kmeans", "snrp"])
@@ -303,7 +303,7 @@ def _connected(graph):
     frontier = [0]
     while frontier:
         s = frontier.pop()
-        for a in graph.neighbors[s]:
+        for a in neighbors(graph)[s]:
             if int(a) not in seen:
                 seen.add(int(a))
                 frontier.append(int(a))
@@ -316,10 +316,10 @@ def _connected(graph):
 def test_adjacency_invariants(points):
     cfg = mk_cfg()
     graph = build_adjacency(np.array(points), cfg)
-    for s, nb in enumerate(graph.neighbors):
+    for s, nb in enumerate(neighbors(graph)):
         assert s in nb                          # hover always present
         for a in nb:
-            assert s in graph.neighbors[int(a)]  # symmetry
+            assert s in neighbors(graph)[int(a)]  # symmetry
     assert _connected(graph)
 
 

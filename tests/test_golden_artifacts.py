@@ -50,7 +50,7 @@ GOLDEN = {
         "sweep.csv": "3e5ae22b2f985dffdcb4c40e7a7f091aa1ed81eb6e05f30be433987254acede2",
     }),
     "evaluate": (["evaluate", "--method", "qa"], {
-        "evaluation.json": "274660b002104ccb54cc6dd6133f934f50557099b4c3c80854c05e28be325597",
+        "evaluation.json": "52a54e572fe2706798b339bab302f9f740d36e77cdb1c2cc11bc596a5b0c8763",
     }),
 }
 

@@ -9,7 +9,6 @@ from absim.channel import ChannelParams, link_matrix, sample_fading
 from absim.radio import (LinkState, associate, db_to_linear, dbm_to_watt,
                          evaluate_slot, link_tables, outage_keys, outage_stats, rate_bps,
                          tx_power_dbm)
-from absim.scenario import rng_stream
 from helpers import brute_force_slot, gathered_loss_slot, interference, mk_cfg, sinr
 
 

@@ -5,14 +5,14 @@ import hashlib
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.spatial.distance import cdist
 
 from absim.condense import build_adjacency
 from absim.radio import outage_counts, outage_keys
-from absim.rl import (export_qtables, feasible_table, load_qtables, masked, move_table,
-                      reward, select_action)
+from absim.rl import export_qtables, load_qtables, masked, move_table, reward, select_action
 from absim.scenario import rng_stream
 from absim.sim import train
-from helpers import brute_force_reward, feasible_actions, mk_cfg, td_step
+from helpers import brute_force_reward, feasible_actions, mk_cfg, neighbors, td_step
 
 
 def _chain(n, spacing=200.0):
@@ -20,7 +20,7 @@ def _chain(n, spacing=200.0):
     cfg = mk_cfg()
     cents = np.column_stack([spacing * np.arange(n), np.zeros(n)])
     graph = build_adjacency(cents, cfg)
-    return cfg, graph, feasible_table(graph, cfg)
+    return cfg, graph, graph.adj
 
 
 def _select(q, s, eps, rng, feasible):
@@ -34,8 +34,10 @@ def _select(q, s, eps, rng, feasible):
 def test_qtable_shapes_follow_adjacency():
     cfg, graph, feasible = _chain(4)
     q = np.zeros((cfg.n_uav, graph.n_centroids, graph.n_centroids))
-    assert feasible.sum(axis=1).tolist() == [len(nb) for nb in graph.neighbors]
-    assert (feasible <= graph.adjacency()).all()
+    # one hover plus one move per edge at s
+    assert feasible.sum(axis=1).tolist() == [1 + sum(s in e[:2] for e in graph.edges)
+                                             for s in range(4)]
+    assert feasible.diagonal().all()
     assert q[0, 1, 2] == 0.0
 
 
@@ -49,53 +51,54 @@ def test_feasible_actions_bridged_node():
     cfg = mk_cfg()
     cents = np.array([[0.0, 0.0], [4000.0, 0.0]])
     graph = build_adjacency(cents, cfg)
-    feasible = feasible_table(graph, cfg)
+    feasible = graph.adj
     # far pair joined only by the virtual corridor: still mutually reachable
     assert np.flatnonzero(feasible[0]).tolist() == [0, 1]
     assert np.flatnonzero(feasible[1]).tolist() == [0, 1]
 
 
-def test_feasible_actions_shrunken_radius_leaves_hover():
-    cfg, graph, _ = _chain(4)
-    import dataclasses
-    slow = dataclasses.replace(cfg, v_max_mps=1.0, delta_t_s=1.0)
-    assert np.flatnonzero(feasible_table(graph, slow)[1]).tolist() == [1]
-
-
 @pytest.mark.parametrize("radius_scale", [0.5, 1.0, 3.0])
 def test_feasible_table_matches_per_state_loop(radius_scale):
+    # graph.adj and its move table against a loop over every centroid pair;
+    # the lattice clouds put many pairs exactly on the radius
     import dataclasses
     rng = np.random.default_rng(int(10 * radius_scale))
-    for _ in range(30):
-        cfg = mk_cfg()
-        graph = build_adjacency(rng.uniform(0, cfg.x_max, (12, 2)), cfg)
-        cfg = dataclasses.replace(cfg, v_max_mps=cfg.v_max_mps * radius_scale)
-        feasible = feasible_table(graph, cfg)
+    cfg = mk_cfg()
+    cfg = dataclasses.replace(cfg, v_max_mps=cfg.v_max_mps * radius_scale)
+    step = cfg.move_radius_m() / 5           # offsets (5, 0), (3, 4), ... land on it
+    clouds = [rng.uniform(0, cfg.x_max, (12, 2)) for _ in range(30)]
+    clouds += [np.unique(step * rng.integers(0, 10, (12, 2)), axis=0) for _ in range(30)]
+    on_radius = 0
+    for cents in clouds:
+        graph = build_adjacency(cents, cfg)
+        on_radius += int((cdist(cents, cents) == cfg.move_radius_m()).sum())
+        feasible = graph.adj
         moves, n_moves = move_table(feasible)
         for s in range(graph.n_centroids):
             want = feasible_actions(graph, s, cfg).tolist()
             assert np.flatnonzero(feasible[s]).tolist() == want
             assert moves[s].tolist() == want + [-1] * (graph.n_centroids - len(want))
             assert n_moves[s] == len(want)
+    assert on_radius > 0
 
 
 def test_select_action_greedy_and_ties():
     cfg, graph, feasible = _chain(3)
     q = np.zeros((3, 3))
     rng = rng_stream(0, "egreedy")
-    q[1, graph.neighbors[1]] = [1.0, 5.0, 3.0]
-    assert _select(q, 1, 0.0, rng, feasible) == graph.neighbors[1][1]
-    q[1, graph.neighbors[1]] = 2.0
-    assert _select(q, 1, 0.0, rng, feasible) == graph.neighbors[1][0]
+    q[1, neighbors(graph)[1]] = [1.0, 5.0, 3.0]
+    assert _select(q, 1, 0.0, rng, feasible) == neighbors(graph)[1][1]
+    q[1, neighbors(graph)[1]] = 2.0
+    assert _select(q, 1, 0.0, rng, feasible) == neighbors(graph)[1][0]
 
 
 def test_select_action_greedy_invariant_to_q_offset():
     cfg, graph, feasible = _chain(3)
     q = np.zeros((3, 3))
     rng = rng_stream(1, "egreedy")
-    q[1, graph.neighbors[1]] = [-3.0, 0.5, -1.0]
+    q[1, neighbors(graph)[1]] = [-3.0, 0.5, -1.0]
     a = _select(q, 1, 0.0, rng, feasible)
-    q[1, graph.neighbors[1]] += 100.0
+    q[1, neighbors(graph)[1]] += 100.0
     assert _select(q, 1, 0.0, rng, feasible) == a
 
 
@@ -118,7 +121,7 @@ def test_select_action_lockstep_matches_per_uav_loop():
     n_worlds, n_uav, m = 3, 4, 9
     feasible, moves, n_moves = [], [], []
     for _ in range(n_worlds):
-        f = feasible_table(build_adjacency(rng.uniform(0, 900, (m, 2)), cfg), cfg)
+        f = build_adjacency(rng.uniform(0, 900, (m, 2)), cfg).adj
         mv, nm = move_table(f)
         feasible.append(f)
         moves.append(mv.tolist())
@@ -195,7 +198,7 @@ def test_td_update_hand_step():
     cfg, graph, feasible = _chain(3)
     cfg = dataclasses.replace(cfg, alpha_q=0.5, zeta=0.9)
     q = np.zeros((3, 3))
-    q[2, graph.neighbors[2]] = [0.0, 4.0]      # state 2 neighbors: [1, 2]
+    q[2, neighbors(graph)[2]] = [0.0, 4.0]      # state 2 neighbors: [1, 2]
     new = td_step(q, 1, 2, -1.0, 2, cfg, feasible)
     assert new == pytest.approx(0.5 * (-1.0 + 0.9 * 4.0))
     assert q[1, 2] == pytest.approx(new)
@@ -227,13 +230,13 @@ def _value_iteration(graph, cfg, reward_of):
     v = np.zeros(graph.n_centroids)
     for _ in range(5000):
         nxt = np.array([max(reward_of(int(a)) + cfg.zeta * v[int(a)]
-                            for a in graph.neighbors[s])
+                            for a in neighbors(graph)[s])
                         for s in range(graph.n_centroids)])
         if np.abs(nxt - v).max() < 1e-13:
             break
         v = nxt
     q_star = [np.array([reward_of(int(a)) + cfg.zeta * v[int(a)]
-                        for a in nb]) for nb in graph.neighbors]
+                        for a in nb]) for nb in neighbors(graph)]
     return v, q_star
 
 
@@ -247,15 +250,15 @@ def test_chain_mdp_matches_value_iteration():
     q = np.zeros((3, 3))
     for _ in range(300):
         for s in range(graph.n_centroids):
-            for a in graph.neighbors[s]:
+            for a in neighbors(graph)[s]:
                 td_step(q, s, int(a), reward_of(int(a)), int(a), cfg, feasible)
 
     _, q_star = _value_iteration(graph, cfg, reward_of)
     for s in range(graph.n_centroids):
-        vals = q[s, graph.neighbors[s]]
+        vals = q[s, neighbors(graph)[s]]
         assert np.allclose(vals, q_star[s], atol=1e-9)
-        greedy = graph.neighbors[s][int(np.argmax(vals))]
-        oracle = graph.neighbors[s][int(np.argmax(q_star[s]))]
+        greedy = neighbors(graph)[s][int(np.argmax(vals))]
+        oracle = neighbors(graph)[s][int(np.argmax(q_star[s]))]
         assert greedy == oracle
         assert np.abs(vals).max() <= 1.0 / (1.0 - cfg.zeta) + 1e-9
 
@@ -265,7 +268,7 @@ def test_qtable_export_import_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     tables = np.zeros((2, 4, 4))
     for q in tables:
-        for s, nb in enumerate(graph.neighbors):
+        for s, nb in enumerate(neighbors(graph)):
             q[s, nb] = rng.normal(size=len(nb))
     path = tmp_path / "q.csv"
     export_qtables(path, tables, graph)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
@@ -35,12 +34,11 @@ def test_build_world_wiring():
     assert world.priority_mask.sum() == cfg.n_priority()
     assert condense_time >= 0.0
     m = cfg.n_centroids
-    assert world.feasible.shape == (m, m)
     for s in range(world.graph.n_centroids):
-        assert world.feasible[s].sum() >= 1
+        assert world.graph.adj[s].sum() >= 1
     assert world.loss_db.shape == (cfg.n_users, m)
-    assert world.is_neighbor.shape == world.move_ok.shape == (m, m)
-    assert world.is_neighbor.diagonal().all() and world.move_ok.diagonal().all()
+    assert world.graph.adj.shape == world.move_ok.shape == (m, m)
+    assert world.graph.adj.diagonal().all() and world.move_ok.diagonal().all()
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +75,10 @@ def _bridged_chain_world(cfg):
     cents = np.array([[0.0, 0.0], [120.0, 0.0], [240.0, 0.0],
                       [3000.0, 0.0], [3400.0, 0.0]])
     edges = [(0, 1, False), (1, 2, False), (2, 3, True), (3, 4, False)]
-    neighbors = [np.array(nb) for nb in ([0, 1], [0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4])]
-    graph = CondensedGraph(centroids=cents, neighbors=neighbors, edges=edges,
+    adj = np.eye(5, dtype=bool)
+    for i, j, _ in edges:
+        adj[i, j] = adj[j, i] = True
+    graph = CondensedGraph(centroids=cents, adj=adj, edges=edges,
                            method="hand", distortion=0.0)
     users_xy = np.array([[10.0, 5.0], [3100.0, 20.0]])
     return make_world(cfg, users_xy, np.array([True, False]), graph)
@@ -151,7 +151,7 @@ def test_power_cap_audit_counts_slots_not_users():
     batch.links.power_w[0, :, 1] = batch.links.power_w[0, 0, 2] = \
         2.0 * radio_constants(cfg).p_max_w
     audit = np.zeros((1, len(AUDIT_KEYS)), dtype=int)
-    q = masked(np.zeros((1, 1, 5, 5)), batch.feasible)
+    q = masked(np.zeros((1, 1, 5, 5)), batch.adj)
     record = run_episode(batch, q, 1.0, [rng_stream(1, "fading")], [rng_stream(1, "egreedy")],
                          learn=False, audit=audit)[0]
     path = record.trajectory[0][1:]
@@ -164,7 +164,7 @@ def test_training_never_leaves_the_feasible_moves():
     cfg = mk_cfg()
     for method in METHODS:
         res = train(cfg, method)
-        feasible = res.world.feasible
+        feasible = res.world.graph.adj
         assert not feasible.all()          # else nothing to leave
         paths = [p for rec in res.episodes for p in rec.trajectory]
         for path in paths:
@@ -242,7 +242,7 @@ def test_trajectories_follow_the_graph():
         for seq in rec.trajectory:
             assert len(seq) == cfg.slots_per_episode + 1
             for s, nxt in zip(seq, seq[1:]):
-                assert nxt in res.world.graph.neighbors[s]
+                assert res.world.graph.adj[s, nxt]
     rows = res.report.eval_trajectory
     assert len(rows) == cfg.n_uav * (cfg.slots_per_episode + 1)
     for n, t, c, x, y in rows:
@@ -263,6 +263,16 @@ def test_embedded_eval_equals_standalone():
     assert ev.outage == res.report.eval_outage            # exact: same streams
     assert ev.mean_rate_bps == res.report.eval_mean_rate_bps
     assert ev.trajectory == res.report.eval_trajectory
+
+
+def test_evaluate_policy_reports_its_audit(tiny_run):
+    world, cfg = tiny_run.world, tiny_run.world.cfg
+    assert evaluate_policy(world, tiny_run.qtables).audit == dict.fromkeys(AUDIT_KEYS, 0)
+    # out of the altitude band: counts once per evaluated slot
+    high = dataclasses.replace(world, cfg=dataclasses.replace(cfg, altitude_m=400.0))
+    audit = evaluate_policy(high, tiny_run.qtables).audit
+    assert audit == {**dict.fromkeys(AUDIT_KEYS, 0),
+                     "altitude_out_of_band": cfg.eval_episodes * cfg.slots_per_episode}
 
 
 def _report_bytes(report, tmp_path, name):
