@@ -15,13 +15,16 @@ learner's working copy holds -inf off it (see masked), so a greedy pick is
 a plain argmax and a bootstrap a plain max; snapshots (export_qtables,
 load_qtables) hold 0 there instead. Worlds stepped in lockstep stack these
 along a leading world axis, so selection and backups take one call per
-slot.
+slot. Epsilon-greedy exploration is drawn once per episode, from the raw
+words of each world's stream (draw_exploration), exactly as numpy 2.4.6's
+Generator calls would draw it slot by slot.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,23 +55,128 @@ def masked(q: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return np.where(adj[..., None, :, :], q, -np.inf)
 
 
-def select_action(q: np.ndarray, states: np.ndarray, eps: float, rngs: list,
-                  moves: list, n_moves: list) -> np.ndarray:
-    """Epsilon-greedy next centroid for every UAV of every world.
+# Generator.random() scales (word >> 11) by 2**-53
+_UNIT = 1.0 / 9007199254740992.0
 
-    q is the masked (S, n_uav, M, M) tensor and states (S, n_uav); moves
-    and n_moves are the worlds' move tables as nested lists. Greedy ties
-    break to the lowest index. World w explores with its own stream
-    rngs[w], UAV by UAV: random(), then, if below eps, integers() over the
-    feasible targets. With eps = 0 nothing is drawn.
+
+class Exploration(NamedTuple):
+    """One episode's epsilon-greedy draws of every row, taken at its start.
+
+    slots[t] is None if no UAV explores in slot t, else the (S, n_uav)
+    arrays (explore, half): UAV u of row k explores where explore[k, u],
+    with the 32-bit draw half[k, u]. Rows in per_call draw from rngs[k]
+    call by call instead, in select_action. moves and n_moves hold the
+    move table rows (rl.move_table) of every distinct world, world by
+    world, and base[k] is the first of row k's world.
+    """
+
+    eps: float
+    rngs: list
+    moves: np.ndarray             # (W * M, M)
+    n_moves: np.ndarray           # (W * M,)
+    base: np.ndarray              # (S, 1)
+    slots: list
+    per_call: tuple
+
+
+def _episode_halves(bitgen, eps: float, n_draws: int, m: int) -> np.ndarray | None:
+    """The 32-bit draws of n_draws selections, each random() and, if that
+    is below eps, integers(n) for the state's n >= 2 moves, read from raw
+    words; -1 for a selection that does not explore.
+
+    This emulates numpy 2.4.6's PCG64 Generator: random() is (w >> 11) *
+    2**-53 of one fresh word w; integers(n) is Lemire's method on a 32-bit
+    half, the low half of a fresh word first, its high half kept in the
+    generator (has_uint32, uinteger) for the next call, across episodes.
+    bitgen is left where those calls would leave it. None, with bitgen
+    untouched, if Lemire could reject a half for some n in [2, m]
+    (leftover < n, about n / 2**32 per half): the caller then draws call
+    by call.
+    """
+    saved = bitgen.state
+    # every other exploration takes a fresh word, so this many always do
+    words = bitgen.random_raw(n_draws + (n_draws + 1) // 2)
+    explores = ((words >> 11) * _UNIT < eps).tolist()
+    words = words.tolist()
+    has, buf = saved["has_uint32"], saved["uinteger"]
+    drawn, pos = [], 0
+    for _ in range(n_draws):
+        pos += 1
+        if not explores[pos - 1]:
+            drawn.append(-1)
+        elif has:
+            drawn.append(buf)
+            has = 0
+        else:
+            drawn.append(words[pos] & 0xFFFFFFFF)
+            has, buf, pos = 1, words[pos] >> 32, pos + 1
+    drawn = np.array(drawn)
+    bitgen.state = saved
+    n = np.arange(2, m + 1)         # a -1 leaves 2**32 - n: never below n
+    if np.any((drawn[:, None] * n) & 0xFFFFFFFF < n):
+        return None
+    bitgen.advance(pos)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = has, buf
+    bitgen.state = state
+    return drawn
+
+
+def draw_exploration(rngs: list, eps: float, n_slots: int, n_uav: int,
+                     moves: np.ndarray, n_moves: np.ndarray, world: np.ndarray) -> Exploration:
+    """Every row's exploration draws for an episode of n_slots, row k from
+    its own stream rngs[k]; see _episode_halves.
+
+    moves and n_moves are the (W, M, M) and (W, M) move tables of the
+    distinct worlds, world the (S, 1) column of each row's. Whether a UAV
+    explores does not depend on Q, and neither does how much of the stream
+    it takes, unless a state has a single move (integers(1) draws
+    nothing): a row with such a state draws call by call.
+    """
+    m = moves.shape[-1]
+    tables = moves.reshape(-1, m), n_moves.reshape(-1), world * m
+    if eps <= 0.0:
+        return Exploration(eps, rngs, *tables, [None] * n_slots, ())
+    half = np.full((len(rngs), n_slots * n_uav), -1, dtype=np.int64)
+    per_call = []
+    for k, rng in enumerate(rngs):
+        drawn = None
+        if n_moves[world[k, 0]].min() > 1:
+            drawn = _episode_halves(rng.bit_generator, eps, n_slots * n_uav, m)
+        if drawn is None:
+            per_call.append(k)
+        else:
+            half[k] = drawn
+    half = half.reshape(len(rngs), n_slots, n_uav).transpose(1, 0, 2)
+    explore = half >= 0
+    slots = [(e, h) if active else None
+             for e, h, active in zip(explore, half, explore.any(axis=(1, 2)).tolist())]
+    return Exploration(eps, rngs, *tables, slots, tuple(per_call))
+
+
+def select_action(q: np.ndarray, states: np.ndarray, draws: Exploration, t: int) -> np.ndarray:
+    """Epsilon-greedy next centroid for every UAV of every row in slot t.
+
+    q is the masked (S, n_uav, M, M) tensor and states (S, n_uav). Greedy
+    ties break to the lowest index. An exploring UAV then takes target
+    (half * n) >> 32 of its state's n moves, as integers(n) does from that
+    half. A row in draws.per_call calls its stream UAV by UAV instead:
+    random(), then, if below eps, integers() over the state's moves. With
+    eps = 0 nothing is drawn.
     """
     w, n = _index_arrays(*states.shape)
     actions = q[w, n, states].argmax(axis=-1)
-    if eps > 0.0:
-        for k, (rng, row) in enumerate(zip(rngs, states.tolist())):
-            for u, s in enumerate(row):
-                if rng.random() < eps:
-                    actions[k, u] = moves[k][s][rng.integers(n_moves[k][s])]
+    if draws.slots[t] is not None:
+        explore, half = draws.slots[t]
+        cells = draws.base + states
+        # half < 2**32 and n <= M, so the product fits in int64
+        pick = (half * draws.n_moves.take(cells)) >> 32
+        np.copyto(actions, draws.moves[cells, pick], where=explore)
+    for k in draws.per_call:
+        rng = draws.rngs[k]
+        for u, cell in enumerate((draws.base[k] + states[k]).tolist()):
+            if rng.random() < draws.eps:
+                actions[k, u] = draws.moves[cell, rng.integers(draws.n_moves[cell])]
     return actions
 
 

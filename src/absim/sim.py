@@ -9,7 +9,8 @@ frozen user drop.
 Training runs any number of worlds (a seed, condenser or reward weight
 each) in lockstep: one slot step advances all of them through stacked
 tables, while each world draws from its own RNG streams, so a world's
-results do not depend on which others it was batched with.
+results do not depend on which others it was batched with. Greedy
+evaluation also stacks several episodes of a world as lockstep rows.
 
 File outputs are deterministic for a given (config, seed): floats are
 written in shortest round-trip form and wall-clock timings live in a
@@ -32,7 +33,8 @@ from .channel import ChannelParams, link_matrix, sample_fading
 from .radio import (LinkState, OutageStats, evaluate_slot, link_tables,
                     outage_keys, outage_stats, radio_constants, rate_bps)
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
-from .rl import masked, move_table, reward, select_action, td_update
+from .rl import (Exploration, draw_exploration, masked, move_table, reward, select_action,
+                 td_update)
 
 METHODS = ("qa", "kmeans", "snrp")
 
@@ -45,6 +47,13 @@ _MOVE_BITS = ((4, _OFF_GRAPH), (1, _NOT_NEIGHBOR), (2, _TOO_FAST))
 
 # config fields in which worlds stepped in lockstep may differ
 WORLD_FIELDS = ("seed", "mu_pr", "mu_nr")
+
+# slots of fading a row draws, and of SINRs it keeps, at a time
+BLOCK = 10
+# lockstep rows of greedy evaluation: each world stacks up to
+# EVAL_ROWS // worlds of its episodes. A stacked row holds its whole
+# episode's fading (240 kB at the reference size), so the stack is small
+EVAL_ROWS = 4
 
 
 @dataclass
@@ -105,38 +114,43 @@ def build_world(cfg: ScenarioConfig, method: str) -> tuple[World, float]:
 
 
 class Lockstep:
-    """Worlds stepped slot by slot together.
+    """Worlds stepped slot by slot together, one row each.
 
-    Their tables are stacked on a leading world axis, so every slot stage
-    is one call for all of them; the link tables are built once, from the
-    stacked losses. The worlds must agree on every config field but
-    WORLD_FIELDS, which gives them the same array shapes and the same
-    epsilon schedule. Each world keeps its own RNG streams, so its
-    results are those of running it alone.
+    Rows that hold the same world's arrays (jobs sharing a condensation,
+    stacked evaluation episodes) read one copy of its tables: the tables
+    are stacked once per distinct world, and world gives each row's. Every
+    slot stage is one call for all rows; the link tables are built once,
+    from the stacked losses. The worlds must agree on every config field
+    but WORLD_FIELDS, which gives them the same array shapes and the same
+    epsilon schedule. Each row keeps its own RNG streams, so its results
+    are those of running it alone.
     """
 
     def __init__(self, worlds: list):
         def shared(c):
             return {k: v for k, v in c.to_dict().items() if k not in WORLD_FIELDS}
 
+        def arrays(w):      # rows are one world when they hold the same arrays
+            return tuple(map(id, (w.loss_db, w.priority_mask, w.graph, w.move_ok)))
+
         cfg = worlds[0].cfg
         if any(shared(w.cfg) != shared(cfg) for w in worlds[1:]):
             raise ValueError("lockstep worlds may differ only in " + ", ".join(WORLD_FIELDS))
+        index: dict = {}
+        self.world = tuple(index.setdefault(arrays(w), len(index)) for w in worlds)
+        tables = list(dict(zip(self.world, worlds)).values())   # one per index
         m = worlds[0].graph.n_centroids
         self.worlds = worlds
         self.cfg = cfg
-        self.links = link_tables(np.stack([w.loss_db for w in worlds]), cfg)
+        self.links = link_tables(np.stack([w.loss_db for w in tables]), cfg)
         self.outage_keys = outage_keys(np.stack([w.priority_mask for w in worlds]), cfg.n_uav)
-        self.adj = np.stack([w.graph.adj for w in worlds])
-        # the exploration loop reads the move tables as nested lists
-        tables = [move_table(adj) for adj in self.adj]
-        self.moves = [moves.tolist() for moves, _ in tables]
-        self.n_moves = [n_moves.tolist() for _, n_moves in tables]
+        self.adj = np.stack([w.graph.adj for w in tables])
+        self.moves, self.n_moves = map(np.stack, zip(*(move_table(adj) for adj in self.adj)))
         # [world, s, a] audit bits of a move: 1 no edge, 2 beyond one slot's
         # flight; column M stands for every target off the graph (bit 4)
-        self.move_flags = np.full((len(worlds), m, m + 1), 4, dtype=np.uint8)
-        self.move_flags[:, :, :m] = ~self.adj + 2 * ~np.stack([w.move_ok for w in worlds])
-        self.world_col = np.arange(len(worlds))[:, None]
+        self.move_flags = np.full((len(tables), m, m + 1), 4, dtype=np.uint8)
+        self.move_flags[:, :, :m] = ~self.adj + 2 * ~np.stack([w.move_ok for w in tables])
+        self.world_col = np.array(self.world)[:, None]
         self.p_cap_w = radio_constants(cfg).p_max_w * (1.0 + 1e-12)
         self.mu_pr = np.array([[w.cfg.mu_pr] for w in worlds])
         self.mu_nr = np.array([[w.cfg.mu_nr] for w in worlds])
@@ -163,18 +177,19 @@ class SlotResult:
 
 
 def run_slot(batch: Lockstep, q: np.ndarray, states: np.ndarray,
-             prev_assoc: np.ndarray | None, eps: float, fading: np.ndarray,
-             rngs: list, learn: bool) -> SlotResult:
-    """Advance one slot of every world: move, radio at the new positions,
+             prev_assoc: np.ndarray | None, draws: Exploration, t: int,
+             fading: np.ndarray, learn: bool) -> SlotResult:
+    """Advance slot t of every row: move, radio at the new positions,
     rewards, TD backups.
 
-    q is the masked (S, n_uav, M, M) tensor (rl.masked), states (S, n_uav)
-    and fading this slot's (S, n_users, n_uav) draw. The moves and transmit
-    powers are audited once per episode, by run_episode.
+    q is the masked (S, n_uav, M, M) tensor (rl.masked), states (S, n_uav),
+    draws the episode's exploration and fading this slot's (S, n_users,
+    n_uav) draw. The moves and transmit powers are audited once per
+    episode, by run_episode.
     """
     cfg = batch.cfg
-    actions = select_action(q, states, eps, rngs, batch.moves, batch.n_moves)
-    link = evaluate_slot(batch.links, actions, fading, prev_assoc, cfg)
+    actions = select_action(q, states, draws, t)
+    link = evaluate_slot(batch.links, actions, fading, prev_assoc, cfg, batch.world)
     stats = outage_stats(link, batch.outage_keys, cfg.n_uav)
     rewards = reward(stats.counts, batch.mu_pr, batch.mu_nr)
     if learn:
@@ -215,19 +230,26 @@ class EpisodeRecord:
 
 def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
                 rng_act: list, learn: bool, audit: np.ndarray, index: int = 0) -> list:
-    """One episode of every world, with world w drawing from rng_fading[w]
-    and rng_act[w]; returns an EpisodeRecord per world.
+    """One episode of every row, with row k drawing from rng_fading[k]
+    and rng_act[k]; returns an EpisodeRecord per row.
 
-    What no later slot reads is reduced once at the end: the move audit,
-    the power-cap count and the rates.
+    Row by row, the start states and then the whole episode's exploration
+    are drawn first (rl.draw_exploration). A row that owns its fading
+    stream draws BLOCK slots of it at a time, the same numbers as one
+    draw; rows that share a stream (stacked evaluation episodes, which do
+    not explore) each draw their whole episode in turn. What no later slot
+    reads is reduced per block or once at the end: the users' rates, the
+    move audit and the power-cap count.
     """
     cfg = batch.cfg
     n_slots = cfg.slots_per_episode
     link_shape = (cfg.n_users, cfg.n_uav)
     states = np.array([start_states(w, rng) for w, rng in zip(batch.worlds, rng_act)])
-    fading = np.empty((n_slots, len(batch)) + link_shape)
-    for k, rng in enumerate(rng_fading):
-        fading[:, k] = sample_fading(rng, (n_slots,) + link_shape)
+    draws = draw_exploration(rng_act, eps, n_slots, cfg.n_uav, batch.moves, batch.n_moves,
+                             batch.world_col)
+    block = min(BLOCK, n_slots)
+    draw = n_slots if len(set(map(id, rng_fading))) < len(rng_fading) else block
+    fading = np.empty((draw, len(batch)) + link_shape)
     traj = np.empty((n_slots + 1,) + states.shape, dtype=int)
     traj[0] = states
     # per world and slot, every world's rows contiguous, so each slot's
@@ -235,22 +257,31 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     rewards = np.empty((len(batch), n_slots, cfg.n_uav))
     counts = np.empty((len(batch), n_slots, 2, 2, cfg.n_uav), dtype=int)
     peak_power = np.empty((len(batch), n_slots))
-    sinrs = np.empty((len(batch), n_slots, cfg.n_users))
+    sinrs = np.empty((len(batch), block, cfg.n_users))
+    rate_sums = np.empty((len(batch), n_slots))
     prev_assoc = None
     for t in range(n_slots):
-        res = run_slot(batch, q, states, prev_assoc, eps, fading[t], rng_act, learn)
+        if t % draw == 0:
+            n = min(draw, n_slots - t)
+            for k, rng in enumerate(rng_fading):
+                fading[:n, k] = sample_fading(rng, (n,) + link_shape)
+        res = run_slot(batch, q, states, prev_assoc, draws, t, fading[t % draw], learn)
         states = traj[t + 1] = res.states
         prev_assoc = res.link.assoc
         rewards[:, t] = res.rewards
         counts[:, t] = res.stats.counts
         np.maximum.reduce(res.link.tx_power_w, axis=-1, out=peak_power[:, t])
-        sinrs[:, t] = res.link.sinr
+        b = t % block
+        sinrs[:, b] = res.link.sinr
+        if b == block - 1 or t == n_slots - 1:
+            done = sinrs[:, :b + 1]
+            np.add.reduce(rate_bps(done, cfg.bandwidth_hz, out=done), axis=-1,
+                          out=rate_sums[:, t - b:t + 1])
     del fading, res
 
     _audit_moves(batch, traj[:-1], traj[1:], audit)
     # slots in which any user transmits above the cap
     audit[:, _POWER] += np.count_nonzero(peak_power > batch.p_cap_w, axis=-1)
-    rate_sums = np.add.reduce(rate_bps(sinrs, cfg.bandwidth_hz), axis=-1)
     # built-in sum from int 0, left to right: np.sum would keep an all -0.0
     # slot at -0.0 and change the report's bytes
     slot_reward = np.array([[sum(r) for r in world] for world in rewards.tolist()])
@@ -312,32 +343,50 @@ def _evaluate(batch: Lockstep, q: np.ndarray) -> list:
     episodes; an EvalResult per world.
 
     Uses dedicated eval RNG streams, so evaluating inside training and
-    re-evaluating a loaded snapshot later give identical numbers.
+    re-evaluating a loaded snapshot later give identical numbers. A world
+    runs up to EVAL_ROWS // len(batch) of its episodes at once, as rows of
+    one lockstep batch that read its tables: row j of a round runs the
+    round's j-th episode, and the rows draw from the world's streams in
+    that order, so each episode equals its run alone.
     """
+    cfg = batch.cfg
+    n = len(batch)
+    stack = max(1, min(cfg.eval_episodes, EVAL_ROWS // n))
     rng_fading = [rng_stream(w.cfg.seed, "eval_fading") for w in batch.worlds]
     rng_act = [rng_stream(w.cfg.seed, "eval_egreedy") for w in batch.worlds]
-    audit = np.zeros((len(batch), len(AUDIT_KEYS)), dtype=np.int64)
-    episodes = [run_episode(batch, q, 0.0, rng_fading, rng_act, learn=False,
-                            audit=audit, index=e)
-                for e in range(batch.cfg.eval_episodes)]
+    audit = np.zeros((n, len(AUDIT_KEYS)), dtype=np.int64)
+    records = [[] for _ in range(n)]
+    rounds = {1: (batch, q)}        # episodes per world -> the rows' batch and Q
+    for e in range(0, cfg.eval_episodes, stack):
+        k = min(stack, cfg.eval_episodes - e)
+        rows = np.repeat(np.arange(n), k)       # world by world, k episodes each
+        if k not in rounds:
+            rounds[k] = Lockstep([batch.worlds[r] for r in rows]), q[rows]
+        stacked, q_rows = rounds[k]
+        audit_rows = np.zeros((len(rows), len(AUDIT_KEYS)), dtype=np.int64)
+        episodes = run_episode(stacked, q_rows, 0.0, [rng_fading[r] for r in rows],
+                               [rng_act[r] for r in rows], learn=False,
+                               audit=audit_rows, index=e)
+        audit += audit_rows.reshape(n, k, -1).sum(axis=1)
+        for r, record in zip(rows, episodes):
+            records[r].append(record)
     results = []
-    for k, world in enumerate(batch.worlds):
-        records = [ep[k] for ep in episodes]
+    for world, recs, counts in zip(batch.worlds, records, audit.tolist()):
         outage = {
-            "network": float(np.mean([r.outage_network for r in records])),
-            "priority": float(np.mean([r.outage_priority for r in records])),
-            "regular": float(np.mean([r.outage_regular for r in records])),
+            "network": float(np.mean([r.outage_network for r in recs])),
+            "priority": float(np.mean([r.outage_priority for r in recs])),
+            "regular": float(np.mean([r.outage_regular for r in recs])),
         }
         rows = []
-        for n, seq in enumerate(records[-1].trajectory):
+        for u, seq in enumerate(recs[-1].trajectory):
             for t, c in enumerate(seq):
                 x, y = world.graph.centroids[c]
-                rows.append([n, t, int(c), float(x), float(y)])
+                rows.append([u, t, int(c), float(x), float(y)])
         results.append(EvalResult(
             outage=outage,
-            mean_rate_bps=float(np.mean([r.mean_rate_bps for r in records])),
+            mean_rate_bps=float(np.mean([r.mean_rate_bps for r in recs])),
             trajectory=rows,
-            audit=dict(zip(AUDIT_KEYS, audit[k].tolist()))))
+            audit=dict(zip(AUDIT_KEYS, counts))))
     return results
 
 
@@ -373,7 +422,7 @@ def train_lockstep(jobs: list) -> list:
     cfg = batch.cfg
     n = len(batch)
     m = batch.adj.shape[-1]
-    q = masked(np.zeros((n, cfg.n_uav, m, m)), batch.adj)
+    q = masked(np.zeros((n, cfg.n_uav, m, m)), batch.adj[list(batch.world)])
     audit = np.zeros((n, len(AUDIT_KEYS)), dtype=np.int64)
     rng_fading = [rng_stream(w.cfg.seed, "fading") for w in batch.worlds]
     rng_act = [rng_stream(w.cfg.seed, "egreedy") for w in batch.worlds]

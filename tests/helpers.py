@@ -240,3 +240,21 @@ def _components(m: int, edges: list) -> list:
                 comp[k] = root
                 changed = True
     return comp
+
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's 128-bit LCG multiplier
+
+
+def pcg64_state_before(word: int, inc: int, steps: int = 1) -> dict:
+    """A PCG64 state, with increment inc, whose steps-th raw 64-bit output
+    is word: the XSL-RR output inverted, then the LCG stepped back."""
+    mask64, mask128 = (1 << 64) - 1, (1 << 128) - 1
+    hi = 0x5EED << 48                                   # any high half will do
+    rot = hi >> 58
+    lo = hi ^ (((word << rot) | (word >> (64 - rot))) & mask64)
+    state = (hi << 64) | lo                             # the state after stepping
+    inverse = pow(_PCG_MULT, -1, 1 << 128)
+    for _ in range(steps):
+        state = ((state - inc) * inverse) & mask128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from absim import sim
 from absim.cli import main
 from absim.scenario import ScenarioConfig
 
@@ -155,6 +156,33 @@ def test_evaluate_matches_training_eval(tiny_config, tmp_path, capsys):
     ev = json.loads((out2 / "evaluation.json").read_text())
     assert ev["outage"] == rep["eval_outage"]              # byte-equal floats
     assert set(ev["audit"]) == set(rep["audit"])
+    capsys.readouterr()
+
+
+
+def test_stacked_evaluation_artifacts_equal_one_episode_at_a_time(tmp_path, monkeypatch,
+                                                                  capsys):
+    # random starts, and 7 evaluation episodes: one stack of 4, then one of 3
+    cfg = tmp_path / "random.json"
+    cfg.write_text(json.dumps({"n_users": 20, "n_candidates": 64, "n_centroids": 8,
+                               "n_uav": 4, "uav_start": "random", "episodes": 3,
+                               "slots_per_episode": 8, "eval_episodes": 7,
+                               "anneal_i_max": 60}))
+
+    def run(tag):
+        out = tmp_path / tag
+        assert main(["train", "--config", str(cfg), "--out", str(out / "train")]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--qtable",
+                     str(out / "train" / "qtable.csv"), "--out", str(out / "eval")]) == 0
+        return [(out / d / f).read_bytes()
+                for d, f in (("train", "report.json"), ("eval", "evaluation.json"))]
+
+    stacked = run("stacked")
+    monkeypatch.setattr(sim, "EVAL_ROWS", 1)
+    assert run("serial") == stacked
+    rep, ev = map(json.loads, stacked)
+    assert ev["outage"] == rep["eval_outage"]
+    assert ev["mean_rate_bps"] == rep["eval_mean_rate_bps"]
     capsys.readouterr()
 
 

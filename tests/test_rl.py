@@ -4,15 +4,19 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.spatial.distance import cdist
 
 from absim.condense import build_adjacency
 from absim.radio import outage_counts, outage_keys
-from absim.rl import export_qtables, load_qtables, masked, move_table, reward, select_action
+from absim.rl import (draw_exploration, export_qtables, load_qtables, masked, move_table,
+                      reward, select_action)
 from absim.scenario import rng_stream
-from absim.sim import train
-from helpers import brute_force_reward, feasible_actions, mk_cfg, neighbors, td_step
+from absim.sim import build_world, train
+from helpers import (brute_force_reward, feasible_actions, mk_cfg, neighbors,
+                     pcg64_state_before, td_step)
 
 
 def _chain(n, spacing=200.0):
@@ -26,9 +30,8 @@ def _chain(n, spacing=200.0):
 def _select(q, s, eps, rng, feasible):
     """select_action for one UAV of one world, on its (M, M) table q."""
     moves, n_moves = move_table(feasible)
-    actions = select_action(masked(q, feasible)[None], np.array([[s]]), eps, [rng],
-                            [moves.tolist()], [n_moves.tolist()])
-    return int(actions[0, 0])
+    draws = draw_exploration([rng], eps, 1, 1, moves[None], n_moves[None], np.zeros((1, 1), int))
+    return int(select_action(masked(q, feasible)[None], np.array([[s]]), draws, 0)[0, 0])
 
 
 def test_qtable_shapes_follow_adjacency():
@@ -124,15 +127,17 @@ def test_select_action_lockstep_matches_per_uav_loop():
         f = build_adjacency(rng.uniform(0, 900, (m, 2)), cfg).adj
         mv, nm = move_table(f)
         feasible.append(f)
-        moves.append(mv.tolist())
-        n_moves.append(nm.tolist())
+        moves.append(mv)
+        n_moves.append(nm)
     feasible = np.stack(feasible)
     q = rng.integers(-3, 3, (n_worlds, n_uav, m, m)).astype(float)   # many ties
     for eps in (0.0, 0.5, 1.0):
         for step in range(20):
             states = rng.integers(0, m, (n_worlds, n_uav))
             streams = [rng_stream(100 * step + k, "egreedy") for k in range(n_worlds)]
-            got = select_action(masked(q, feasible), states, eps, streams, moves, n_moves)
+            draws = draw_exploration(streams, eps, 1, n_uav, np.stack(moves), np.stack(n_moves),
+                                     np.arange(n_worlds)[:, None])
+            got = select_action(masked(q, feasible), states, draws, 0)
             for k in range(n_worlds):
                 ref = rng_stream(100 * step + k, "egreedy")
                 for u in range(n_uav):
@@ -143,7 +148,105 @@ def test_select_action_lockstep_matches_per_uav_loop():
                     else:
                         want = ok[int(np.argmax(q[k, u, s, ok]))]
                     assert got[k, u] == want
-                assert ref.random() == streams[k].random()   # same draws consumed
+                assert ref.bit_generator.state == streams[k].bit_generator.state
+
+
+
+def _per_call(rng, eps, states, greedy, moves, n_moves):
+    """The reference selection: per UAV random(), then, if below eps,
+    integers() over the state's moves, as Generator calls."""
+    return [moves[s][rng.integers(n_moves[s])] if rng.random() < eps else a
+            for s, a in zip(states, greedy)]
+
+
+def _episodes_match_per_call(gen, ref, eps, adj, episodes, n_uav, rng, start=False):
+    """Run episodes of the given slot counts on gen through draw_exploration
+    and select_action, and on ref call by call; assert the same actions, and
+    the same generator state after every episode. Returns the draws of the
+    last episode."""
+    m = adj.shape[0]
+    moves, n_moves = move_table(adj)
+    q = masked(rng.normal(size=(1, n_uav, m, m)), adj)
+    for n_slots in episodes:
+        if start:       # start_states' draw of a random start
+            assert gen.integers(m, size=n_uav).tolist() == ref.integers(m, size=n_uav).tolist()
+        draws = draw_exploration([gen], eps, n_slots, n_uav, moves[None], n_moves[None],
+                                 np.zeros((1, 1), int))
+        for t in range(n_slots):
+            states = rng.integers(0, m, (1, n_uav))
+            greedy = q[0, np.arange(n_uav), states[0]].argmax(axis=-1)
+            got = select_action(q, states, draws, t)
+            assert got[0].tolist() == _per_call(ref, eps, states[0].tolist(), greedy.tolist(),
+                                                moves, n_moves)
+        assert gen.bit_generator.state == ref.bit_generator.state
+    return draws
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason=f"emulates numpy 2.4.6's Generator, running {np.__version__}")
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), eps=st.floats(0.0, 1.0, exclude_min=True),
+       m=st.integers(2, 12), n_uav=st.integers(1, 4),
+       episodes=st.lists(st.integers(1, 7), min_size=1, max_size=4),
+       start=st.booleans(), buffered=st.booleans())
+@example(seed=1, eps=1.0, m=5, n_uav=3, episodes=[1, 3, 1], start=False, buffered=False)
+@example(seed=2, eps=1.0, m=4, n_uav=3, episodes=[2, 1], start=True, buffered=True)
+def test_exploration_draws_equal_generator_calls(seed, eps, m, n_uav, episodes, start,
+                                                 buffered):
+    # every state has 2 to m moves; at eps = 1 and an odd count of UAVs,
+    # an odd number of exploration draws leaves a half-word buffered at the
+    # next episode's start, as does start_states' integers(m, size=n_uav)
+    rng = np.random.default_rng(seed)
+    adj = rng.random((m, m)) < rng.random()
+    adj[np.arange(m), np.arange(m)] = adj[np.arange(m), (np.arange(m) + 1) % m] = True
+    gen, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    if buffered:
+        assert gen.integers(5) == ref.integers(5)
+    _episodes_match_per_call(gen, ref, eps, adj, episodes, n_uav, rng, start)
+
+
+@pytest.mark.parametrize("half", ["low", "high"])
+def test_exploration_falls_back_where_lemire_could_reject(half):
+    # the second raw word of the episode holds a 32-bit half of 0, which
+    # integers(3) rejects (leftover 0 < (2**32 - 3) % 3); the row then draws
+    # call by call, and selections and the generator equal the calls'
+    adj = np.ones((3, 3), dtype=bool)
+    word = 0x1234567800000000 if half == "low" else 0x0000000087654321
+    gen = np.random.default_rng(0)
+    inc = gen.bit_generator.state["state"]["inc"]
+    gen.bit_generator.state = pcg64_state_before(word, inc, steps=2)
+    ref = np.random.default_rng(0)
+    ref.bit_generator.state = gen.bit_generator.state
+    draws = _episodes_match_per_call(gen, ref, 1.0, adj, [4], 2, np.random.default_rng(1))
+    assert draws.per_call == (0,)
+
+
+def test_exploration_of_a_hover_only_world_draws_per_call():
+    # one centroid: integers(1) draws nothing, so how much of the stream
+    # an episode takes depends on the states; the row draws call by call
+    cfg = mk_cfg(n_centroids=1, n_uav=1)
+    world, _ = build_world(cfg, "kmeans")
+    assert world.graph.adj.tolist() == [[True]]
+    gen, ref = rng_stream(0, "egreedy"), rng_stream(0, "egreedy")
+    draws = _episodes_match_per_call(gen, ref, 0.7, world.graph.adj, [5, 4], 1,
+                                     np.random.default_rng(2))
+    assert draws.per_call == (0,)
+    res = train(cfg, "kmeans")
+    assert all(path == [0] * (cfg.slots_per_episode + 1)
+               for r in res.episodes for path in r.trajectory)
+
+
+def test_greedy_selection_leaves_the_stream_untouched():
+    _, graph, adj = _chain(4)
+    gen = rng_stream(3, "egreedy")
+    before = gen.bit_generator.state
+    moves, n_moves = move_table(adj)
+    draws = draw_exploration([gen], 0.0, 6, 2, moves[None], n_moves[None], np.zeros((1, 1), int))
+    q = masked(np.random.default_rng(0).normal(size=(1, 2, 4, 4)), adj)
+    states = np.array([[0, 3]])
+    assert select_action(q, states, draws, 5).tolist() == \
+        q[0, [0, 1], [0, 3]].argmax(axis=-1)[None].tolist()
+    assert gen.bit_generator.state == before
 
 
 def _rewards(assoc, outage, priority_mask, cfg, n_uav=3):

@@ -275,6 +275,29 @@ def test_evaluate_policy_reports_its_audit(tiny_run):
                      "altitude_out_of_band": cfg.eval_episodes * cfg.slots_per_episode}
 
 
+
+@pytest.mark.parametrize("n_worlds", [1, 2])
+def test_stacked_evaluation_equals_one_episode_at_a_time(n_worlds, monkeypatch, tmp_path):
+    # 5 evaluation episodes: stacks of 4 and 1 for one world, of 2, 2 and 1
+    # for two; random starts draw from the eval_egreedy stream the rows share
+    cfg = mk_cfg(uav_start="random", eval_episodes=5, episodes=3)
+    jobs = [(dataclasses.replace(cfg, seed=s), "qa") for s in range(n_worlds)]
+    stacked = train_lockstep(jobs)
+    monkeypatch.setattr(sim, "EVAL_ROWS", 1)
+    serial = train_lockstep(jobs)
+    for a, b in zip(stacked, serial):
+        assert (_report_bytes(a.report, tmp_path, "stacked")
+                == _report_bytes(b.report, tmp_path, "serial"))
+    # an evaluation audit that counts: out of the altitude band every slot
+    world = stacked[0].world
+    high = dataclasses.replace(world, cfg=dataclasses.replace(world.cfg, altitude_m=400.0))
+    want = evaluate_policy(high, stacked[0].qtables)
+    monkeypatch.setattr(sim, "EVAL_ROWS", 4)
+    got = evaluate_policy(high, stacked[0].qtables)
+    assert got == want
+    assert got.audit["altitude_out_of_band"] == cfg.eval_episodes * cfg.slots_per_episode
+
+
 def _report_bytes(report, tmp_path, name):
     path = tmp_path / f"{name}.json"
     write_report_json(path, report)
@@ -323,6 +346,21 @@ def test_lockstep_rejects_worlds_of_different_shape():
     b, _ = build_world(mk_cfg(n_users=20), "kmeans")
     with pytest.raises(ValueError, match="may differ only in"):
         Lockstep([a, b])
+
+
+
+def test_lockstep_stores_each_distinct_world_once():
+    # rows holding one world's arrays (a shared condensation under other
+    # weights, a repeated row) read one copy of its tables
+    world, _ = build_world(mk_cfg(), "kmeans")
+    other, _ = build_world(mk_cfg(seed=1), "kmeans")
+    reweighed = dataclasses.replace(world, cfg=dataclasses.replace(world.cfg, mu_pr=5.0))
+    batch = Lockstep([world, reweighed, other, world])
+    assert batch.world == (0, 0, 1, 0)
+    assert {len(batch.links.gain), len(batch.adj), len(batch.moves),
+            len(batch.move_flags)} == {2}
+    assert batch.mu_pr[:, 0].tolist() == [world.cfg.mu_pr, 5.0, world.cfg.mu_pr,
+                                          world.cfg.mu_pr]
 
 
 def test_compare_methods_seeds_offset():
