@@ -36,6 +36,12 @@ def _mu_list(text: str) -> list:
     return vals
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="absim",
@@ -66,12 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mu", type=_mu_list, default=[15.0, 30.0, 45.0, 60.0, 80.0],
                    help="comma-separated mu_pr values")
-    p.add_argument("--seeds", type=int, default=1, help="seeds per value")
+    p.add_argument("--seeds", type=_positive_int, default=1, help="seeds per value")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="train all methods over several seeds")
     common(p, method=False)
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--seeds", type=_positive_int, default=1)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("config", help="print the resolved configuration")
@@ -179,7 +185,8 @@ def cmd_compare(args) -> int:
     write_outage_csv(os.path.join(out, "outage.csv"), reports)
     write_compare_learning_curves_csv(os.path.join(out, "learning_curves.csv"), reports)
     timings = {m: {str(res.report.seed): {"condense_s": res.report.condense_time_s,
-                                          "rl_s": res.report.rl_time_s}
+                                          "rl_s": res.report.rl_time_s,
+                                          "eval_s": res.report.eval_time_s}
                    for res in results[m]} for m in METHODS}
     write_timings_json(os.path.join(out, "timings.json"), timings)
     write_summary_md(os.path.join(out, "summary.md"), reports)

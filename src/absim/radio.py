@@ -99,17 +99,14 @@ def rate_bps(sinr_lin, bandwidth_hz: float, out=None):
 
 
 @lru_cache(maxsize=16)
-def _flat_offsets(lead: tuple, n_users: int, m: int, n_uav: int, world: tuple | None):
+def _flat_offsets(lead: tuple, n_users: int, m: int, n_uav: int):
     """Flat offsets that turn per-row indices into gathers from C-contiguous
     arrays, at any leading (world) shape: each (world, user) row of an
     (..., n_users, M) table, of an (..., n_users, n_uav) link array, and
-    each world's row of an (..., n_uav) array. world names the table each
-    row reads (None: row i reads table i). Read-only, as they are shared
-    between calls."""
+    each world's row of an (..., n_uav) array. Read-only, as they are
+    shared between calls."""
     size = math.prod(lead) * n_users
-    tables = np.arange(math.prod(lead)) if world is None else np.array(world)
-    table_rows = ((tables * n_users)[:, None] + np.arange(n_users)) * m
-    table_rows = table_rows.reshape(lead + (n_users, 1))
+    table_rows = np.arange(0, size * m, m).reshape(lead + (n_users, 1))
     rows = np.arange(0, size * n_uav, n_uav).reshape(lead + (n_users,))
     cells = np.arange(0, size // n_users * n_uav, n_uav).reshape(lead + (1,))
     for a in (table_rows, rows, cells):
@@ -118,23 +115,20 @@ def _flat_offsets(lead: tuple, n_users: int, m: int, n_uav: int, world: tuple | 
 
 
 def evaluate_slot(tables: LinkTables, fleet: np.ndarray, fading: np.ndarray,
-                  prev_assoc: np.ndarray | None, cfg: ScenarioConfig,
-                  world: tuple | None = None) -> LinkState:
+                  prev_assoc: np.ndarray | None, cfg: ScenarioConfig) -> LinkState:
     """Run the slot pipeline for all users at once.
 
     tables holds link_tables of shape (n_users, M) and fleet the (n_uav,)
     centroid of every ABS, or (S, n_users, M) and (S, n_uav) for S worlds
     in lockstep, with every world's float operations in the same order as a
-    2-D call on its slice. With world, an S-tuple, row k of fleet reads
-    table world[k] of any number of stacked tables. fading is
-    (..., n_users, n_uav). prev_assoc is last slot's association; None
-    (first slot) falls back to the strongest large-scale link, fading
-    excluded.
+    2-D call on its slice. fading is (..., n_users, n_uav). prev_assoc is
+    last slot's association; None (first slot) falls back to the strongest
+    large-scale link, fading excluded.
     """
     const = radio_constants(cfg)
     *lead, n_uav = fleet.shape
     n_users, m = tables.gain.shape[-2:]
-    table_rows, rows, cells = _flat_offsets(tuple(lead), n_users, m, n_uav, world)
+    table_rows, rows, cells = _flat_offsets(tuple(lead), n_users, m, n_uav)
     links = table_rows + fleet[..., None, :]        # flat (..., n_users, n_uav) columns
     if prev_assoc is None:
         serving_prev = np.argmin(tables.loss_db.reshape(-1)[links], axis=-1)

@@ -65,16 +65,14 @@ class Exploration(NamedTuple):
     slots[t] is None if no UAV explores in slot t, else the (S, n_uav)
     arrays (explore, half): UAV u of row k explores where explore[k, u],
     with the 32-bit draw half[k, u]. Rows in per_call draw from rngs[k]
-    call by call instead, in select_action. moves and n_moves hold the
-    move table rows (rl.move_table) of every distinct world, world by
-    world, and base[k] is the first of row k's world.
+    call by call instead, in select_action. moves[k] and n_moves[k] are
+    row k's move table (rl.move_table).
     """
 
     eps: float
     rngs: list
-    moves: np.ndarray             # (W * M, M)
-    n_moves: np.ndarray           # (W * M,)
-    base: np.ndarray              # (S, 1)
+    moves: np.ndarray             # (S, M, M)
+    n_moves: np.ndarray           # (S, M)
     slots: list
     per_call: tuple
 
@@ -123,26 +121,23 @@ def _episode_halves(bitgen, eps: float, n_draws: int, m: int) -> np.ndarray | No
 
 
 def draw_exploration(rngs: list, eps: float, n_slots: int, n_uav: int,
-                     moves: np.ndarray, n_moves: np.ndarray, world: np.ndarray) -> Exploration:
+                     moves: np.ndarray, n_moves: np.ndarray) -> Exploration:
     """Every row's exploration draws for an episode of n_slots, row k from
     its own stream rngs[k]; see _episode_halves.
 
-    moves and n_moves are the (W, M, M) and (W, M) move tables of the
-    distinct worlds, world the (S, 1) column of each row's. Whether a UAV
-    explores does not depend on Q, and neither does how much of the stream
-    it takes, unless a state has a single move (integers(1) draws
-    nothing): a row with such a state draws call by call.
+    moves and n_moves are the rows' (S, M, M) and (S, M) move tables.
+    Whether a UAV explores does not depend on Q, and neither does how much
+    of the stream it takes, unless a state has a single move (integers(1)
+    draws nothing): a row with such a state draws call by call.
     """
-    m = moves.shape[-1]
-    tables = moves.reshape(-1, m), n_moves.reshape(-1), world * m
     if eps <= 0.0:
-        return Exploration(eps, rngs, *tables, [None] * n_slots, ())
+        return Exploration(eps, rngs, moves, n_moves, [None] * n_slots, ())
     half = np.full((len(rngs), n_slots * n_uav), -1, dtype=np.int64)
     per_call = []
     for k, rng in enumerate(rngs):
         drawn = None
-        if n_moves[world[k, 0]].min() > 1:
-            drawn = _episode_halves(rng.bit_generator, eps, n_slots * n_uav, m)
+        if n_moves[k].min() > 1:
+            drawn = _episode_halves(rng.bit_generator, eps, n_slots * n_uav, moves.shape[-1])
         if drawn is None:
             per_call.append(k)
         else:
@@ -151,7 +146,7 @@ def draw_exploration(rngs: list, eps: float, n_slots: int, n_uav: int,
     explore = half >= 0
     slots = [(e, h) if active else None
              for e, h, active in zip(explore, half, explore.any(axis=(1, 2)).tolist())]
-    return Exploration(eps, rngs, *tables, slots, tuple(per_call))
+    return Exploration(eps, rngs, moves, n_moves, slots, tuple(per_call))
 
 
 def select_action(q: np.ndarray, states: np.ndarray, draws: Exploration, t: int) -> np.ndarray:
@@ -168,15 +163,14 @@ def select_action(q: np.ndarray, states: np.ndarray, draws: Exploration, t: int)
     actions = q[w, n, states].argmax(axis=-1)
     if draws.slots[t] is not None:
         explore, half = draws.slots[t]
-        cells = draws.base + states
         # half < 2**32 and n <= M, so the product fits in int64
-        pick = (half * draws.n_moves.take(cells)) >> 32
-        np.copyto(actions, draws.moves[cells, pick], where=explore)
+        pick = (half * draws.n_moves[w, states]) >> 32
+        np.copyto(actions, draws.moves[w, states, pick], where=explore)
     for k in draws.per_call:
         rng = draws.rngs[k]
-        for u, cell in enumerate((draws.base[k] + states[k]).tolist()):
+        for u, s in enumerate(states[k].tolist()):
             if rng.random() < draws.eps:
-                actions[k, u] = draws.moves[cell, rng.integers(draws.n_moves[cell])]
+                actions[k, u] = draws.moves[k, s, rng.integers(draws.n_moves[k, s])]
     return actions
 
 

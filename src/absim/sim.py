@@ -7,10 +7,11 @@ Q-table. Episodes restart the fleet at its initial placement over the same
 frozen user drop.
 
 Training runs any number of worlds (a seed, condenser or reward weight
-each) in lockstep: one slot step advances all of them through stacked
-tables, while each world draws from its own RNG streams, so a world's
-results do not depend on which others it was batched with. Greedy
-evaluation also stacks several episodes of a world as lockstep rows.
+each) in lockstep: one slot step advances all of them through tables
+stacked once per row, while each world draws from its own RNG streams,
+so a world's results do not depend on which others it was batched with.
+Every row draws its whole episode's fading up front. Greedy evaluation
+also stacks several episodes of a world as lockstep rows.
 
 File outputs are deterministic for a given (config, seed): floats are
 written in shortest round-trip form and wall-clock timings live in a
@@ -33,8 +34,8 @@ from .channel import ChannelParams, link_matrix, sample_fading
 from .radio import (LinkState, OutageStats, evaluate_slot, link_tables,
                     outage_keys, outage_stats, radio_constants, rate_bps)
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
-from .rl import (Exploration, draw_exploration, masked, move_table, reward, select_action,
-                 td_update)
+from .rl import (Exploration, _index_arrays, draw_exploration, masked, move_table, reward,
+                 select_action, td_update)
 
 METHODS = ("qa", "kmeans", "snrp")
 
@@ -48,11 +49,10 @@ _MOVE_BITS = ((4, _OFF_GRAPH), (1, _NOT_NEIGHBOR), (2, _TOO_FAST))
 # config fields in which worlds stepped in lockstep may differ
 WORLD_FIELDS = ("seed", "mu_pr", "mu_nr")
 
-# slots of fading a row draws, and of SINRs it keeps, at a time
-BLOCK = 10
 # lockstep rows of greedy evaluation: each world stacks up to
-# EVAL_ROWS // worlds of its episodes. A stacked row holds its whole
-# episode's fading (240 kB at the reference size), so the stack is small
+# EVAL_ROWS // worlds of its episodes. Every row holds its own tables and
+# its whole episode's fading (240 kB at the reference size), so the stack
+# is small
 EVAL_ROWS = 4
 
 
@@ -116,41 +116,34 @@ def build_world(cfg: ScenarioConfig, method: str) -> tuple[World, float]:
 class Lockstep:
     """Worlds stepped slot by slot together, one row each.
 
-    Rows that hold the same world's arrays (jobs sharing a condensation,
-    stacked evaluation episodes) read one copy of its tables: the tables
-    are stacked once per distinct world, and world gives each row's. Every
-    slot stage is one call for all rows; the link tables are built once,
-    from the stacked losses. The worlds must agree on every config field
-    but WORLD_FIELDS, which gives them the same array shapes and the same
-    epsilon schedule. Each row keeps its own RNG streams, so its results
-    are those of running it alone.
+    Every row's tables are stacked along a leading row axis, one copy per
+    row even where rows hold the same world (jobs sharing a condensation,
+    stacked evaluation episodes). Every slot stage is one call for all
+    rows; the link tables are built once, from the stacked losses. The
+    worlds must agree on every config field but WORLD_FIELDS, which gives
+    them the same array shapes and the same epsilon schedule. Each row
+    keeps its own RNG streams, so its results are those of running it
+    alone.
     """
 
     def __init__(self, worlds: list):
         def shared(c):
             return {k: v for k, v in c.to_dict().items() if k not in WORLD_FIELDS}
 
-        def arrays(w):      # rows are one world when they hold the same arrays
-            return tuple(map(id, (w.loss_db, w.priority_mask, w.graph, w.move_ok)))
-
         cfg = worlds[0].cfg
         if any(shared(w.cfg) != shared(cfg) for w in worlds[1:]):
             raise ValueError("lockstep worlds may differ only in " + ", ".join(WORLD_FIELDS))
-        index: dict = {}
-        self.world = tuple(index.setdefault(arrays(w), len(index)) for w in worlds)
-        tables = list(dict(zip(self.world, worlds)).values())   # one per index
         m = worlds[0].graph.n_centroids
         self.worlds = worlds
         self.cfg = cfg
-        self.links = link_tables(np.stack([w.loss_db for w in tables]), cfg)
+        self.links = link_tables(np.stack([w.loss_db for w in worlds]), cfg)
         self.outage_keys = outage_keys(np.stack([w.priority_mask for w in worlds]), cfg.n_uav)
-        self.adj = np.stack([w.graph.adj for w in tables])
+        self.adj = np.stack([w.graph.adj for w in worlds])
         self.moves, self.n_moves = map(np.stack, zip(*(move_table(adj) for adj in self.adj)))
-        # [world, s, a] audit bits of a move: 1 no edge, 2 beyond one slot's
+        # [row, s, a] audit bits of a move: 1 no edge, 2 beyond one slot's
         # flight; column M stands for every target off the graph (bit 4)
-        self.move_flags = np.full((len(tables), m, m + 1), 4, dtype=np.uint8)
-        self.move_flags[:, :, :m] = ~self.adj + 2 * ~np.stack([w.move_ok for w in tables])
-        self.world_col = np.array(self.world)[:, None]
+        self.move_flags = np.full((len(worlds), m, m + 1), 4, dtype=np.uint8)
+        self.move_flags[:, :, :m] = ~self.adj + 2 * ~np.stack([w.move_ok for w in worlds])
         self.p_cap_w = radio_constants(cfg).p_max_w * (1.0 + 1e-12)
         self.mu_pr = np.array([[w.cfg.mu_pr] for w in worlds])
         self.mu_nr = np.array([[w.cfg.mu_nr] for w in worlds])
@@ -189,7 +182,7 @@ def run_slot(batch: Lockstep, q: np.ndarray, states: np.ndarray,
     """
     cfg = batch.cfg
     actions = select_action(q, states, draws, t)
-    link = evaluate_slot(batch.links, actions, fading, prev_assoc, cfg, batch.world)
+    link = evaluate_slot(batch.links, actions, fading, prev_assoc, cfg)
     stats = outage_stats(link, batch.outage_keys, cfg.n_uav)
     rewards = reward(stats.counts, batch.mu_pr, batch.mu_nr)
     if learn:
@@ -209,7 +202,8 @@ def _audit_moves(batch: Lockstep, states: np.ndarray, actions: np.ndarray,
         audit[:, _ALTITUDE] += math.prod(states.shape[:-2])
     m = batch.move_flags.shape[1]
     target = np.minimum(np.maximum(actions, -1), m)     # -1 wraps to column M
-    flags = batch.move_flags[batch.world_col, states, target]
+    rows, _ = _index_arrays(*states.shape[-2:])
+    flags = batch.move_flags[rows, states, target]
     if np.count_nonzero(flags):
         per_world = flags.reshape((-1,) + flags.shape[-2:])
         for bit, col in _MOVE_BITS:
@@ -233,23 +227,21 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     """One episode of every row, with row k drawing from rng_fading[k]
     and rng_act[k]; returns an EpisodeRecord per row.
 
-    Row by row, the start states and then the whole episode's exploration
-    are drawn first (rl.draw_exploration). A row that owns its fading
-    stream draws BLOCK slots of it at a time, the same numbers as one
-    draw; rows that share a stream (stacked evaluation episodes, which do
-    not explore) each draw their whole episode in turn. What no later slot
-    reads is reduced per block or once at the end: the users' rates, the
+    Row by row, the start states, the whole episode's exploration
+    (rl.draw_exploration) and then the whole episode's fading, in one draw
+    per row, are taken first; rows that share a fading stream (stacked
+    evaluation episodes) thus take its episodes in row order. What no
+    later slot reads is reduced once at the end: the users' rates, the
     move audit and the power-cap count.
     """
     cfg = batch.cfg
     n_slots = cfg.slots_per_episode
     link_shape = (cfg.n_users, cfg.n_uav)
     states = np.array([start_states(w, rng) for w, rng in zip(batch.worlds, rng_act)])
-    draws = draw_exploration(rng_act, eps, n_slots, cfg.n_uav, batch.moves, batch.n_moves,
-                             batch.world_col)
-    block = min(BLOCK, n_slots)
-    draw = n_slots if len(set(map(id, rng_fading))) < len(rng_fading) else block
-    fading = np.empty((draw, len(batch)) + link_shape)
+    draws = draw_exploration(rng_act, eps, n_slots, cfg.n_uav, batch.moves, batch.n_moves)
+    fading = np.empty((n_slots, len(batch)) + link_shape)
+    for k, rng in enumerate(rng_fading):
+        fading[:, k] = sample_fading(rng, (n_slots,) + link_shape)
     traj = np.empty((n_slots + 1,) + states.shape, dtype=int)
     traj[0] = states
     # per world and slot, every world's rows contiguous, so each slot's
@@ -257,27 +249,18 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     rewards = np.empty((len(batch), n_slots, cfg.n_uav))
     counts = np.empty((len(batch), n_slots, 2, 2, cfg.n_uav), dtype=int)
     peak_power = np.empty((len(batch), n_slots))
-    sinrs = np.empty((len(batch), block, cfg.n_users))
-    rate_sums = np.empty((len(batch), n_slots))
+    sinrs = np.empty((len(batch), n_slots, cfg.n_users))
     prev_assoc = None
     for t in range(n_slots):
-        if t % draw == 0:
-            n = min(draw, n_slots - t)
-            for k, rng in enumerate(rng_fading):
-                fading[:n, k] = sample_fading(rng, (n,) + link_shape)
-        res = run_slot(batch, q, states, prev_assoc, draws, t, fading[t % draw], learn)
+        res = run_slot(batch, q, states, prev_assoc, draws, t, fading[t], learn)
         states = traj[t + 1] = res.states
         prev_assoc = res.link.assoc
         rewards[:, t] = res.rewards
         counts[:, t] = res.stats.counts
         np.maximum.reduce(res.link.tx_power_w, axis=-1, out=peak_power[:, t])
-        b = t % block
-        sinrs[:, b] = res.link.sinr
-        if b == block - 1 or t == n_slots - 1:
-            done = sinrs[:, :b + 1]
-            np.add.reduce(rate_bps(done, cfg.bandwidth_hz, out=done), axis=-1,
-                          out=rate_sums[:, t - b:t + 1])
+        sinrs[:, t] = res.link.sinr
     del fading, res
+    rate_sums = rate_bps(sinrs, cfg.bandwidth_hz, out=sinrs).sum(axis=-1)
 
     _audit_moves(batch, traj[:-1], traj[1:], audit)
     # slots in which any user transmits above the cap
@@ -345,9 +328,9 @@ def _evaluate(batch: Lockstep, q: np.ndarray) -> list:
     Uses dedicated eval RNG streams, so evaluating inside training and
     re-evaluating a loaded snapshot later give identical numbers. A world
     runs up to EVAL_ROWS // len(batch) of its episodes at once, as rows of
-    one lockstep batch that read its tables: row j of a round runs the
-    round's j-th episode, and the rows draw from the world's streams in
-    that order, so each episode equals its run alone.
+    one lockstep batch, each with its own copy of the world's tables: row
+    j of a round runs the round's j-th episode, and the rows draw from the
+    world's streams in that order, so each episode equals its run alone.
     """
     cfg = batch.cfg
     n = len(batch)
@@ -400,13 +383,15 @@ def train_lockstep(jobs: list) -> list:
     and evaluate greedily, all worlds in lockstep; a TrainResult per job.
 
     Jobs that differ only in weights the condenser does not read share one
-    condensation and its world's tables. Each result equals that of
+    condensation. Each result equals that of
     training its world alone, except for the wall times: every world
     reports 1/S of the lockstep learning and evaluation time, and a shared
     condensation's time in full.
     """
     if not jobs:
         return []
+    for cfg, _ in jobs:     # derived configs (sweep, compare) skip config_from_dict
+        cfg.validate()
     condensed, worlds, condense_times = {}, [], []
     for cfg, method in jobs:
         # a world's users, graph and tables do not depend on the reward
@@ -421,8 +406,7 @@ def train_lockstep(jobs: list) -> list:
     batch = Lockstep(worlds)
     cfg = batch.cfg
     n = len(batch)
-    m = batch.adj.shape[-1]
-    q = masked(np.zeros((n, cfg.n_uav, m, m)), batch.adj[list(batch.world)])
+    q = masked(np.zeros((n, cfg.n_uav) + batch.adj.shape[1:]), batch.adj)
     audit = np.zeros((n, len(AUDIT_KEYS)), dtype=np.int64)
     rng_fading = [rng_stream(w.cfg.seed, "fading") for w in batch.worlds]
     rng_act = [rng_stream(w.cfg.seed, "egreedy") for w in batch.worlds]

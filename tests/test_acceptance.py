@@ -187,7 +187,7 @@ def test_criterion_10_report_bytes_deterministic(tmp_path):
 
 
 def test_criterion_11_timing_report(tmp_path, capsys):
-    # compare must emit per-method condensation and learning wall-times
+    # compare must emit per-method condensation, learning and evaluation wall-times
     cfg_file = tmp_path / "tiny.json"
     cfg_file.write_text(json.dumps({
         "n_users": 20, "n_candidates": 64, "n_centroids": 8,
@@ -199,7 +199,7 @@ def test_criterion_11_timing_report(tmp_path, capsys):
     capsys.readouterr()
     timings = json.loads((out / "timings.json").read_text())
     for m in METHODS:
-        assert set(timings[m]["0"]) == {"condense_s", "rl_s"}
+        assert set(timings[m]["0"]) == {"condense_s", "rl_s", "eval_s"}
 
     # annealing cost per iteration must not track the candidate count: a
     # full rescan per proposal would time at slope ~1 on a log-log fit of

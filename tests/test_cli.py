@@ -228,6 +228,25 @@ def test_sweep_rejects_bad_mu_list(tiny_config):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("mu", ["-5", "0", "nan", "inf", "20,-inf"])
+def test_sweep_rejects_invalid_mu_value(tiny_config, tmp_path, capsys, mu):
+    # each value becomes a config's mu_pr, which must be finite and positive
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", tiny_config, f"--mu={mu}", "--out", str(out)]) == 2
+    assert "mu_pr" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command,seeds", [("compare", "0"), ("sweep", "-1"),
+                                           ("compare", "two")])
+def test_seeds_must_be_a_positive_integer(tiny_config, tmp_path, command, seeds):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", tiny_config, "--seeds", seeds,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_writes_comparison_artifacts(tiny_config, tmp_path, capsys):
     out = tmp_path / "cmp"
     assert main(["compare", "--config", tiny_config, "--seeds", "1",
@@ -238,6 +257,7 @@ def test_compare_writes_comparison_artifacts(tiny_config, tmp_path, capsys):
     for m in ("qa", "kmeans", "snrp"):
         assert timings[m]["0"]["condense_s"] >= 0.0
         assert timings[m]["0"]["rl_s"] > 0.0
+        assert timings[m]["0"]["eval_s"] > 0.0
     assert (out / "summary.md").exists()
     lc = (out / "learning_curves.csv").read_text().strip().split("\n")
     assert lc[0] == "method,seed,episode,reward,eps"

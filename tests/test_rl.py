@@ -30,7 +30,7 @@ def _chain(n, spacing=200.0):
 def _select(q, s, eps, rng, feasible):
     """select_action for one UAV of one world, on its (M, M) table q."""
     moves, n_moves = move_table(feasible)
-    draws = draw_exploration([rng], eps, 1, 1, moves[None], n_moves[None], np.zeros((1, 1), int))
+    draws = draw_exploration([rng], eps, 1, 1, moves[None], n_moves[None])
     return int(select_action(masked(q, feasible)[None], np.array([[s]]), draws, 0)[0, 0])
 
 
@@ -135,8 +135,7 @@ def test_select_action_lockstep_matches_per_uav_loop():
         for step in range(20):
             states = rng.integers(0, m, (n_worlds, n_uav))
             streams = [rng_stream(100 * step + k, "egreedy") for k in range(n_worlds)]
-            draws = draw_exploration(streams, eps, 1, n_uav, np.stack(moves), np.stack(n_moves),
-                                     np.arange(n_worlds)[:, None])
+            draws = draw_exploration(streams, eps, 1, n_uav, np.stack(moves), np.stack(n_moves))
             got = select_action(masked(q, feasible), states, draws, 0)
             for k in range(n_worlds):
                 ref = rng_stream(100 * step + k, "egreedy")
@@ -170,8 +169,7 @@ def _episodes_match_per_call(gen, ref, eps, adj, episodes, n_uav, rng, start=Fal
     for n_slots in episodes:
         if start:       # start_states' draw of a random start
             assert gen.integers(m, size=n_uav).tolist() == ref.integers(m, size=n_uav).tolist()
-        draws = draw_exploration([gen], eps, n_slots, n_uav, moves[None], n_moves[None],
-                                 np.zeros((1, 1), int))
+        draws = draw_exploration([gen], eps, n_slots, n_uav, moves[None], n_moves[None])
         for t in range(n_slots):
             states = rng.integers(0, m, (1, n_uav))
             greedy = q[0, np.arange(n_uav), states[0]].argmax(axis=-1)
@@ -241,7 +239,7 @@ def test_greedy_selection_leaves_the_stream_untouched():
     gen = rng_stream(3, "egreedy")
     before = gen.bit_generator.state
     moves, n_moves = move_table(adj)
-    draws = draw_exploration([gen], 0.0, 6, 2, moves[None], n_moves[None], np.zeros((1, 1), int))
+    draws = draw_exploration([gen], 0.0, 6, 2, moves[None], n_moves[None])
     q = masked(np.random.default_rng(0).normal(size=(1, 2, 4, 4)), adj)
     states = np.array([[0, 3]])
     assert select_action(q, states, draws, 5).tolist() == \

@@ -68,6 +68,28 @@ def test_episode_fading_draw_equals_per_slot_draws():
     assert bulk.tobytes() == np.stack(per_slot).tobytes()
 
 
+def test_training_episode_draws_its_fading_in_one_call(monkeypatch):
+    # each row takes its whole episode's fading from its own stream in one
+    # draw, also at an episode length (13 slots) that is a prime
+    cfg = mk_cfg(slots_per_episode=13)
+    world, _ = build_world(cfg, "kmeans")
+    batch = Lockstep([world, dataclasses.replace(world, cfg=dataclasses.replace(cfg, seed=1))])
+    m = world.graph.n_centroids
+    calls = []
+    monkeypatch.setattr(sim, "sample_fading",
+                        lambda rng, size: calls.append(size) or sample_fading(rng, size))
+    rng_fading = [rng_stream(s, "fading") for s in (0, 1)]
+    run_episode(batch, masked(np.zeros((2, cfg.n_uav, m, m)), batch.adj), cfg.eps0,
+                rng_fading, [rng_stream(s, "egreedy") for s in (0, 1)], learn=True,
+                audit=np.zeros((2, len(AUDIT_KEYS)), dtype=np.int64))
+    shape = (cfg.slots_per_episode, cfg.n_users, cfg.n_uav)
+    assert calls == [shape, shape]
+    for s, rng in zip((0, 1), rng_fading):
+        fresh = rng_stream(s, "fading")
+        sample_fading(fresh, shape)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+
 def _bridged_chain_world(cfg):
     """Hand-built graph: 0-1-2 chain, a virtual corridor 2-3, and a 3-4 edge
     that claims to be regular but is longer than one slot's flight."""
@@ -347,20 +369,6 @@ def test_lockstep_rejects_worlds_of_different_shape():
     with pytest.raises(ValueError, match="may differ only in"):
         Lockstep([a, b])
 
-
-
-def test_lockstep_stores_each_distinct_world_once():
-    # rows holding one world's arrays (a shared condensation under other
-    # weights, a repeated row) read one copy of its tables
-    world, _ = build_world(mk_cfg(), "kmeans")
-    other, _ = build_world(mk_cfg(seed=1), "kmeans")
-    reweighed = dataclasses.replace(world, cfg=dataclasses.replace(world.cfg, mu_pr=5.0))
-    batch = Lockstep([world, reweighed, other, world])
-    assert batch.world == (0, 0, 1, 0)
-    assert {len(batch.links.gain), len(batch.adj), len(batch.moves),
-            len(batch.move_flags)} == {2}
-    assert batch.mu_pr[:, 0].tolist() == [world.cfg.mu_pr, 5.0, world.cfg.mu_pr,
-                                          world.cfg.mu_pr]
 
 
 def test_compare_methods_seeds_offset():
