@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from absim.condense import kmeans_condense, qa_condense, snrp_condense
-from absim.scenario import ScenarioConfig, drop_users, generate_candidates, rng_stream
+from absim.scenario import ScenarioConfig, drop_users, generate_candidates
 
 cfg = ScenarioConfig()
 nodes = generate_candidates(cfg)
@@ -21,8 +21,8 @@ print(f"{len(nodes)} candidates on a {cfg.x_max:.0f} x {cfg.y_max:.0f} m area, "
       f"({int(priority_mask.sum())} priority)")
 
 graphs = {
-    "qa": qa_condense(nodes, cfg, rng_stream(cfg.seed, "condense")),
-    "kmeans": kmeans_condense(nodes, cfg, rng_stream(cfg.seed, "condense")),
+    "qa": qa_condense(nodes, cfg),
+    "kmeans": kmeans_condense(nodes, cfg),
     "snrp": snrp_condense(nodes, users_xy, priority_mask, cfg),
 }
 

@@ -6,6 +6,8 @@ A closer look at one condensation run: how the Metropolis chain behaves
 while the temperature drops, and when the stop rules fire.
 """
 
+import dataclasses
+
 import numpy as np
 
 from absim.condense import accept, kmeans_condense, qa_condense
@@ -14,7 +16,7 @@ from absim.scenario import ScenarioConfig, generate_candidates, rng_stream
 cfg = ScenarioConfig()
 nodes = generate_candidates(cfg)
 
-graph = qa_condense(nodes, cfg, rng_stream(cfg.seed, "condense"))
+graph = qa_condense(nodes, cfg)
 tr = graph.trace
 steps = len(tr["temperature"])
 per_temp = cfg.proposals_per_temp or cfg.n_centroids
@@ -55,7 +57,7 @@ for delta, temp in ((-5.0, 1.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.25), (5.0, 1.0)
 
 # a fair quality yardstick: several random-restart Lloyd runs
 best_km = min(
-    kmeans_condense(nodes, cfg, rng_stream(s, "condense")).distortion
+    kmeans_condense(nodes, dataclasses.replace(cfg, seed=s)).distortion
     for s in range(10)
 )
 print(f"\nbest of 10 kmeans restarts {best_km:.3e}; "

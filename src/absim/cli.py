@@ -3,7 +3,8 @@
 Subcommands: condense, train, evaluate, sweep, compare, config.
 Exit codes: 0 success, 2 usage or configuration errors (argparse failures,
 bad or non-finite config values, a --qtable that is not a file or does not
-match the config), 1 runtime failures.
+match the config, an output path that is a file or lies below one), 1
+runtime failures.
 """
 
 from __future__ import annotations
@@ -94,7 +95,10 @@ def _load(args) -> ScenarioConfig:
 
 def _outdir(args, cfg) -> str:
     out = args.out if args.out is not None else run_dir(cfg)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output path is or lies below a file: {out}")
     return out
 
 

@@ -117,8 +117,7 @@ def _apply_move(dist2, d1, i1, d2, i2, m, col, served):
         d1[rows], i1[rows], d2[rows], i2[rows] = _top2(dist2[rows])
 
 
-def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig,
-                rng: np.random.Generator | None = None) -> CondensedGraph:
+def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
     """Anneal M centroids against clustering distortion; return best seen.
 
     Each temperature step runs cfg.proposals_per_temp single-centroid
@@ -130,8 +129,7 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig,
     trace holds, per temperature step, the temperature after cooling, the
     current and best distortion and the running count of accepted moves.
     """
-    if rng is None:
-        rng = rng_stream(cfg.seed, "condense")
+    rng = rng_stream(cfg.seed, "condense")
     m_cent = cfg.n_centroids
     n0 = len(nodes)
     centroids = nodes[rng.choice(n0, size=m_cent, replace=False)].copy()
@@ -198,11 +196,9 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig,
     return graph
 
 
-def kmeans_condense(nodes: np.ndarray, cfg: ScenarioConfig,
-                    rng: np.random.Generator | None = None) -> CondensedGraph:
+def kmeans_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
     """Lloyd's k-means over the candidates, seeded from random candidates."""
-    if rng is None:
-        rng = rng_stream(cfg.seed, "condense")
+    rng = rng_stream(cfg.seed, "condense")
     m_cent = cfg.n_centroids
     centroids = nodes[rng.choice(len(nodes), size=m_cent, replace=False)].copy()
     labels = np.full(len(nodes), -1)

@@ -5,6 +5,10 @@ of the ABS it was associated with in the previous slot, then associates to
 the ABS with the strongest received power this slot. Interference at an ABS
 is the total received power of users served elsewhere (single shared
 channel, intra-cell users are orthogonal).
+
+A slot's outage is one count table, users by outcome, class and serving
+ABS (outage_stats); outage_fractions reads [network, priority, regular]
+off any stack of such tables, so an episode reduces all its slots at once.
 """
 
 from __future__ import annotations
@@ -166,57 +170,21 @@ def evaluate_slot(tables: LinkTables, fleet: np.ndarray, fading: np.ndarray,
     )
 
 
-@dataclass(frozen=True)
-class OutageStats:
-    """Outage of one slot as user counts; fractions are computed on access.
-
-    An empty class counts as 0. With leading axes on counts (worlds, or the
-    slots of an episode) every fraction carries them too, so an episode
-    reads the fractions of all its slots in one pass.
-    """
-
-    counts: np.ndarray    # (..., 2, 2, n_uav), see outage_counts
-
-    def _by_class(self):
-        """(outages, users, outage fraction) per class, [regular, priority]."""
-        by_class = self.counts.sum(axis=-1)             # (..., outcome, class)
-        out = by_class[..., 1, :]
-        users = by_class[..., 0, :] + out
-        return out, users, np.divide(out, users, out=np.zeros(users.shape),
-                                     where=users > 0)
-
-    @property
-    def network(self):
-        """Fraction over all users."""
-        out, users, _ = self._by_class()
-        return out.sum(axis=-1) / users.sum(axis=-1)
-
-    @property
-    def priority(self):
-        """Fraction among priority users."""
-        return self._by_class()[2][..., 1]
-
-    @property
-    def regular(self):
-        """Fraction among non-priority users."""
-        return self._by_class()[2][..., 0]
-
-
 def outage_keys(priority_mask: np.ndarray, n_uav: int) -> np.ndarray:
-    """The static part of outage_counts' key per user: the class, plus a
+    """The static part of outage_stats' key per user: the class, plus a
     per-world offset when priority_mask has leading world axes."""
     lead = priority_mask.shape[:-1]
     worlds = np.arange(0, 4 * n_uav * math.prod(lead), 4 * n_uav).reshape(lead + (1,))
     return n_uav * priority_mask + worlds
 
 
-def outage_counts(assoc: np.ndarray, outage: np.ndarray, keys: np.ndarray,
-                  n_uav: int) -> np.ndarray:
+def outage_stats(assoc: np.ndarray, outage: np.ndarray, keys: np.ndarray,
+                 n_uav: int) -> np.ndarray:
     """(..., 2, 2, n_uav) user counts by [clear, outage][regular, priority][ABS].
 
     One bincount over an (outcome, class, ABS) key, whose class and world
-    part is outage_keys(priority_mask, n_uav); outage_stats and the per-UAV
-    rewards both read this table.
+    part is outage_keys(priority_mask, n_uav); outage_fractions and the
+    per-UAV rewards both read this table.
     """
     lead = assoc.shape[:-1]
     n_keys = 4 * n_uav * math.prod(lead)
@@ -224,7 +192,12 @@ def outage_counts(assoc: np.ndarray, outage: np.ndarray, keys: np.ndarray,
     return np.bincount(key.ravel(), minlength=n_keys).reshape(lead + (2, 2, n_uav))
 
 
-def outage_stats(state: LinkState, keys: np.ndarray, n_uav: int) -> OutageStats:
-    """Outage counts of a slot's users by class and serving ABS; keys as in
-    outage_counts."""
-    return OutageStats(outage_counts(state.assoc, state.outage, keys, n_uav))
+def outage_fractions(counts: np.ndarray) -> np.ndarray:
+    """(..., 3) outage fractions [network, priority, regular] of an
+    outage_stats table, leading axes kept; an empty class counts as 0."""
+    by_class = counts.sum(axis=-1)                  # (..., outcome, class)
+    out = by_class[..., 1, :]
+    users = by_class[..., 0, :] + out
+    frac = np.divide(out, users, out=np.zeros(users.shape), where=users > 0)
+    return np.stack([out.sum(axis=-1) / users.sum(axis=-1), frac[..., 1], frac[..., 0]],
+                    axis=-1)

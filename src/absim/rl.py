@@ -177,7 +177,7 @@ def select_action(q: np.ndarray, states: np.ndarray, draws: Exploration, t: int)
 def reward(counts: np.ndarray, mu_pr, mu_nr) -> np.ndarray:
     """Per-UAV priority-weighted penalty on outage counts and class fractions.
 
-    counts is radio.outage_counts' table, users by [clear, outage]
+    counts is radio.outage_stats' table, users by [clear, outage]
     [regular, priority][ABS], with optional leading world axes; mu_pr and
     mu_nr broadcast against the (..., n_uav) result, so lockstep worlds may
     weigh differently. A fraction is over the class's users served by that

@@ -13,6 +13,11 @@ so a world's results do not depend on which others it was batched with.
 Every row draws its whole episode's fading up front. Greedy evaluation
 also stacks several episodes of a world as lockstep rows.
 
+An episode's results are two arrays: each row's slot means (reward,
+outage by class, rate) and the fleet's trajectory. Training keeps only
+the means, as the report's curves; evaluation keeps the means and each
+world's last trajectory.
+
 File outputs are deterministic for a given (config, seed): floats are
 written in shortest round-trip form and wall-clock timings live in a
 separate timings.json.
@@ -31,8 +36,8 @@ import numpy as np
 
 from .scenario import ScenarioConfig, config_hash, drop_users, generate_candidates, rng_stream
 from .channel import ChannelParams, link_matrix, sample_fading
-from .radio import (LinkState, OutageStats, evaluate_slot, link_tables,
-                    outage_keys, outage_stats, radio_constants, rate_bps)
+from .radio import (evaluate_slot, link_tables, outage_fractions, outage_keys, outage_stats,
+                    radio_constants, rate_bps)
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
 from .rl import (Exploration, _index_arrays, draw_exploration, masked, move_table, reward,
                  select_action, td_update)
@@ -161,19 +166,13 @@ def start_states(world: World, rng_act: np.random.Generator) -> list[int]:
     return [i * stride for i in range(cfg.n_uav)]
 
 
-@dataclass
-class SlotResult:
-    states: np.ndarray        # (S, n_uav) centroid per UAV after the move
-    link: LinkState
-    stats: OutageStats
-    rewards: np.ndarray       # (S, n_uav) penalty per UAV
-
-
 def run_slot(batch: Lockstep, q: np.ndarray, states: np.ndarray,
              prev_assoc: np.ndarray | None, draws: Exploration, t: int,
-             fading: np.ndarray, learn: bool) -> SlotResult:
+             fading: np.ndarray, learn: bool) -> tuple:
     """Advance slot t of every row: move, radio at the new positions,
-    rewards, TD backups.
+    rewards, TD backups. Returns (moves, link, counts, rewards): the
+    (S, n_uav) centroids moved to, the radio.LinkState, the
+    radio.outage_stats table and the (S, n_uav) penalties.
 
     q is the masked (S, n_uav, M, M) tensor (rl.masked), states (S, n_uav),
     draws the episode's exploration and fading this slot's (S, n_users,
@@ -183,11 +182,11 @@ def run_slot(batch: Lockstep, q: np.ndarray, states: np.ndarray,
     cfg = batch.cfg
     actions = select_action(q, states, draws, t)
     link = evaluate_slot(batch.links, actions, fading, prev_assoc, cfg)
-    stats = outage_stats(link, batch.outage_keys, cfg.n_uav)
-    rewards = reward(stats.counts, batch.mu_pr, batch.mu_nr)
+    counts = outage_stats(link.assoc, link.outage, batch.outage_keys, cfg.n_uav)
+    rewards = reward(counts, batch.mu_pr, batch.mu_nr)
     if learn:
         td_update(q, states, actions, rewards, actions, cfg)
-    return SlotResult(states=actions, link=link, stats=stats, rewards=rewards)
+    return actions, link, counts, rewards
 
 
 def _audit_moves(batch: Lockstep, states: np.ndarray, actions: np.ndarray,
@@ -210,73 +209,58 @@ def _audit_moves(batch: Lockstep, states: np.ndarray, actions: np.ndarray,
             audit[:, col] += np.count_nonzero(per_world & bit, axis=(0, 2))
 
 
-@dataclass
-class EpisodeRecord:
-    index: int
-    eps: float
-    mean_reward: float            # mean over slots of the summed UAV penalty
-    outage_network: float
-    outage_priority: float
-    outage_regular: float
-    mean_rate_bps: float          # user-mean uplink rate, averaged over slots
-    trajectory: list              # per UAV: centroid sequence, length slots+1
+# columns of run_episode's table of slot means
+EPISODE_COLUMNS = ("reward", "network", "priority", "regular", "rate_bps")
 
 
 def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
-                rng_act: list, learn: bool, audit: np.ndarray, index: int = 0) -> list:
+                rng_act: list, learn: bool, audit: np.ndarray) -> tuple:
     """One episode of every row, with row k drawing from rng_fading[k]
-    and rng_act[k]; returns an EpisodeRecord per row.
+    and rng_act[k]. Returns the (S, 5) slot means of EPISODE_COLUMNS per
+    row (the summed UAV penalty, the three outage fractions and the
+    user-mean uplink rate) and the (n_slots + 1, S, n_uav) trajectory.
 
     Row by row, the start states, the whole episode's exploration
     (rl.draw_exploration) and then the whole episode's fading, in one draw
     per row, are taken first; rows that share a fading stream (stacked
     evaluation episodes) thus take its episodes in row order. What no
     later slot reads is reduced once at the end: the users' rates, the
-    move audit and the power-cap count.
+    outage fractions, the move audit and the power-cap count.
     """
     cfg = batch.cfg
     n_slots = cfg.slots_per_episode
     link_shape = (cfg.n_users, cfg.n_uav)
-    states = np.array([start_states(w, rng) for w, rng in zip(batch.worlds, rng_act)])
+    traj = np.empty((n_slots + 1, len(batch), cfg.n_uav), dtype=int)
+    traj[0] = [start_states(w, rng) for w, rng in zip(batch.worlds, rng_act)]
     draws = draw_exploration(rng_act, eps, n_slots, cfg.n_uav, batch.moves, batch.n_moves)
     fading = np.empty((n_slots, len(batch)) + link_shape)
     for k, rng in enumerate(rng_fading):
         fading[:, k] = sample_fading(rng, (n_slots,) + link_shape)
-    traj = np.empty((n_slots + 1,) + states.shape, dtype=int)
-    traj[0] = states
-    # per world and slot, every world's rows contiguous, so each slot's
-    # users are summed as one contiguous row
+    # per row and slot, so each slot's users are summed as one contiguous row
     rewards = np.empty((len(batch), n_slots, cfg.n_uav))
     counts = np.empty((len(batch), n_slots, 2, 2, cfg.n_uav), dtype=int)
     peak_power = np.empty((len(batch), n_slots))
     sinrs = np.empty((len(batch), n_slots, cfg.n_users))
     prev_assoc = None
     for t in range(n_slots):
-        res = run_slot(batch, q, states, prev_assoc, draws, t, fading[t], learn)
-        states = traj[t + 1] = res.states
-        prev_assoc = res.link.assoc
-        rewards[:, t] = res.rewards
-        counts[:, t] = res.stats.counts
-        np.maximum.reduce(res.link.tx_power_w, axis=-1, out=peak_power[:, t])
-        sinrs[:, t] = res.link.sinr
-    del fading, res
-    rate_sums = rate_bps(sinrs, cfg.bandwidth_hz, out=sinrs).sum(axis=-1)
+        traj[t + 1], link, counts[:, t], rewards[:, t] = run_slot(
+            batch, q, traj[t], prev_assoc, draws, t, fading[t], learn)
+        prev_assoc = link.assoc
+        np.maximum.reduce(link.tx_power_w, axis=-1, out=peak_power[:, t])
+        sinrs[:, t] = link.sinr
+    del fading, link
 
     _audit_moves(batch, traj[:-1], traj[1:], audit)
     # slots in which any user transmits above the cap
     audit[:, _POWER] += np.count_nonzero(peak_power > batch.p_cap_w, axis=-1)
+    # (S, columns, slots), so each mean reduces a contiguous row
+    slots = np.empty((len(batch), len(EPISODE_COLUMNS), n_slots))
     # built-in sum from int 0, left to right: np.sum would keep an all -0.0
     # slot at -0.0 and change the report's bytes
-    slot_reward = np.array([[sum(r) for r in world] for world in rewards.tolist()])
-    stats = OutageStats(counts)
-    means = zip(slot_reward.mean(axis=-1).tolist(), stats.network.mean(axis=-1).tolist(),
-                stats.priority.mean(axis=-1).tolist(), stats.regular.mean(axis=-1).tolist(),
-                (rate_sums / cfg.n_users).mean(axis=-1).tolist(),   # of user means
-                traj.transpose(1, 2, 0).tolist())
-    return [EpisodeRecord(index=index, eps=eps, mean_reward=r, outage_network=net,
-                          outage_priority=pr, outage_regular=nr, mean_rate_bps=rate,
-                          trajectory=path)
-            for r, net, pr, nr, rate, path in means]
+    slots[:, 0] = [[sum(r) for r in row] for row in rewards.tolist()]
+    slots[:, 1:4] = outage_fractions(counts).transpose(0, 2, 1)
+    slots[:, 4] = rate_bps(sinrs, cfg.bandwidth_hz, out=sinrs).sum(axis=-1) / cfg.n_users
+    return slots.mean(axis=-1), traj
 
 
 @dataclass
@@ -310,7 +294,6 @@ class TrainResult:
     report: RunReport
     world: World
     qtables: np.ndarray       # (n_uav, M, M), 0 off graph.adj
-    episodes: list            # EpisodeRecord per training episode
 
 
 @dataclass
@@ -338,7 +321,8 @@ def _evaluate(batch: Lockstep, q: np.ndarray) -> list:
     rng_fading = [rng_stream(w.cfg.seed, "eval_fading") for w in batch.worlds]
     rng_act = [rng_stream(w.cfg.seed, "eval_egreedy") for w in batch.worlds]
     audit = np.zeros((n, len(AUDIT_KEYS)), dtype=np.int64)
-    records = [[] for _ in range(n)]
+    # (world, columns, episodes), so each mean reduces a contiguous row
+    means = np.empty((n, len(EPISODE_COLUMNS), cfg.eval_episodes))
     rounds = {1: (batch, q)}        # episodes per world -> the rows' batch and Q
     for e in range(0, cfg.eval_episodes, stack):
         k = min(stack, cfg.eval_episodes - e)
@@ -347,28 +331,21 @@ def _evaluate(batch: Lockstep, q: np.ndarray) -> list:
             rounds[k] = Lockstep([batch.worlds[r] for r in rows]), q[rows]
         stacked, q_rows = rounds[k]
         audit_rows = np.zeros((len(rows), len(AUDIT_KEYS)), dtype=np.int64)
-        episodes = run_episode(stacked, q_rows, 0.0, [rng_fading[r] for r in rows],
-                               [rng_act[r] for r in rows], learn=False,
-                               audit=audit_rows, index=e)
+        table, traj = run_episode(stacked, q_rows, 0.0, [rng_fading[r] for r in rows],
+                                  [rng_act[r] for r in rows], learn=False, audit=audit_rows)
         audit += audit_rows.reshape(n, k, -1).sum(axis=1)
-        for r, record in zip(rows, episodes):
-            records[r].append(record)
+        means[:, :, e:e + k] = table.reshape(n, k, -1).transpose(0, 2, 1)
+    # each world's last episode is the last of its rows in the final round
+    paths = traj[:, k - 1::k].transpose(1, 2, 0).tolist()     # [world][uav][t]
     results = []
-    for world, recs, counts in zip(batch.worlds, records, audit.tolist()):
-        outage = {
-            "network": float(np.mean([r.outage_network for r in recs])),
-            "priority": float(np.mean([r.outage_priority for r in recs])),
-            "regular": float(np.mean([r.outage_regular for r in recs])),
-        }
-        rows = []
-        for u, seq in enumerate(recs[-1].trajectory):
-            for t, c in enumerate(seq):
-                x, y = world.graph.centroids[c]
-                rows.append([u, t, int(c), float(x), float(y)])
+    for world, (_, net, pr, nr, rate), path, counts in zip(
+            batch.worlds, means.mean(axis=-1).tolist(), paths, audit.tolist()):
+        xy = world.graph.centroids.tolist()
         results.append(EvalResult(
-            outage=outage,
-            mean_rate_bps=float(np.mean([r.mean_rate_bps for r in recs])),
-            trajectory=rows,
+            outage={"network": net, "priority": pr, "regular": nr},
+            mean_rate_bps=rate,
+            trajectory=[[u, t, c, *xy[c]] for u, seq in enumerate(path)
+                        for t, c in enumerate(seq)],
             audit=dict(zip(AUDIT_KEYS, counts))))
     return results
 
@@ -413,10 +390,11 @@ def train_lockstep(jobs: list) -> list:
 
     t0 = time.perf_counter()
     eps = cfg.eps0
-    episodes = []
+    eps_curve = []
+    curves = np.empty((cfg.episodes, n, len(EPISODE_COLUMNS)))   # slot means per episode
     for e in range(cfg.episodes):
-        episodes.append(run_episode(batch, q, eps, rng_fading, rng_act,
-                                    learn=True, audit=audit, index=e))
+        curves[e], _ = run_episode(batch, q, eps, rng_fading, rng_act, learn=True, audit=audit)
+        eps_curve.append(eps)
         eps = max(cfg.eps_min, eps * cfg.eps_decay)
     rl_time = (time.perf_counter() - t0) / n
 
@@ -425,9 +403,8 @@ def train_lockstep(jobs: list) -> list:
     eval_time = (time.perf_counter() - t0) / n
 
     results = []
-    for k, (world, condense_time, (_, method), ev) in enumerate(
-            zip(worlds, condense_times, jobs, evals)):
-        records = [ep[k] for ep in episodes]
+    for k, (world, condense_time, (_, method), ev, (rewards, net, pr, nr, _)) in enumerate(
+            zip(worlds, condense_times, jobs, evals, curves.transpose(1, 2, 0).tolist())):
         graph = world.graph
         report = RunReport(
             method=method,
@@ -438,11 +415,11 @@ def train_lockstep(jobs: list) -> list:
             init_distortion=graph.init_distortion,
             n_edges=len(graph.edges),
             n_virtual_edges=sum(1 for _, _, v in graph.edges if v),
-            reward_curve=[r.mean_reward for r in records],
-            eps_curve=[r.eps for r in records],
-            train_outage_network=[r.outage_network for r in records],
-            train_outage_priority=[r.outage_priority for r in records],
-            train_outage_regular=[r.outage_regular for r in records],
+            reward_curve=rewards,
+            eps_curve=list(eps_curve),
+            train_outage_network=net,
+            train_outage_priority=pr,
+            train_outage_regular=nr,
             eval_outage=ev.outage,
             eval_mean_rate_bps=ev.mean_rate_bps,
             eval_trajectory=ev.trajectory,
@@ -452,8 +429,7 @@ def train_lockstep(jobs: list) -> list:
             eval_time_s=eval_time,
         )
         results.append(TrainResult(report=report, world=world,
-                                   qtables=np.where(world.graph.adj, q[k], 0.0),
-                                   episodes=records))
+                                   qtables=np.where(world.graph.adj, q[k], 0.0)))
     return results
 
 

@@ -1,11 +1,13 @@
 """Shared test scaffolding: shrunk configs and independent reference paths."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from absim import sim
 from absim.condense import _draw_move
 from absim.radio import dbm_to_watt, db_to_linear, radio_constants
 from absim.rl import masked, td_update
@@ -21,6 +23,23 @@ def mk_cfg(**overrides) -> ScenarioConfig:
     cfg = dataclasses.replace(ScenarioConfig(), **small)
     cfg.validate()
     return cfg
+
+
+def record_training_paths(monkeypatch) -> list:
+    """Wrap sim.run_episode so that every training episode's (n_slots + 1,
+    S, n_uav) trajectory is appended to the returned list; training keeps
+    none of them."""
+    paths, run_episode = [], sim.run_episode
+    signature = inspect.signature(run_episode)
+
+    def recording(*args, **kwargs):
+        table, traj = run_episode(*args, **kwargs)
+        if signature.bind(*args, **kwargs).arguments["learn"]:
+            paths.append(traj)
+        return table, traj
+
+    monkeypatch.setattr(sim, "run_episode", recording)
+    return paths
 
 
 def brute_force_slot(large_scale_db, fading, prev_assoc, cfg):

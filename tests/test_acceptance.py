@@ -114,10 +114,10 @@ def test_criterion_06_condensation_quality():
     cfg = ScenarioConfig()                      # 400-node grid, M=33
     nodes = generate_candidates(cfg)
     best_km = min(
-        kmeans_condense(nodes, cfg, rng_stream(s, "condense")).distortion
+        kmeans_condense(nodes, dataclasses.replace(cfg, seed=s)).distortion
         for s in range(50))
     for seed in range(SEEDS):
-        graph = qa_condense(nodes, cfg, rng_stream(seed, "condense"))
+        graph = qa_condense(nodes, dataclasses.replace(cfg, seed=seed))
         assert graph.distortion < graph.init_distortion, f"seed {seed}"
         assert graph.distortion <= 1.2 * best_km, \
             f"seed {seed}: {graph.distortion:.1f} vs 1.2x{best_km:.1f}"
@@ -214,7 +214,7 @@ def test_criterion_11_timing_report(tmp_path, capsys):
         best = math.inf
         for rep in range(3):
             t0 = time.perf_counter()
-            qa_condense(nodes, cfg, rng_stream(rep, "condense"))
+            qa_condense(nodes, dataclasses.replace(cfg, seed=rep))
             best = min(best, time.perf_counter() - t0)
         return best / (50 * 33)
 

@@ -266,8 +266,16 @@ def test_compare_writes_comparison_artifacts(tiny_config, tmp_path, capsys):
 
 
 def test_runtime_failure_exits_one(tiny_config, tmp_path, capsys):
+    # the output directory is fine, but one artifact's path is a directory
+    (tmp_path / "out" / "centroids.csv").mkdir(parents=True)
+    assert main(["condense", "--config", tiny_config, "--out", str(tmp_path / "out")]) == 1
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", ["", "sub", "sub/deeper"], ids=["file", "sub", "sub-deeper"])
+def test_out_path_at_or_below_a_file_is_usage_error(tiny_config, tmp_path, capsys, below):
     blocker = tmp_path / "file"
     blocker.write_text("x")
-    assert main(["condense", "--config", tiny_config, "--out",
-                 str(blocker / "sub")]) == 1
-    assert "error" in capsys.readouterr().err
+    assert main(["train", "--config", tiny_config, "--out", str(blocker / below)]) == 2
+    assert "config error: output path" in capsys.readouterr().err
+    assert blocker.read_text() == "x"

@@ -29,6 +29,10 @@ GOLDEN = [
      "f1c26c06ce703553546cc837f719a7911c62bcd7b352b3efea8481e2a24b6fc8"),
     ("qa", dict(seed=0, candidate_rule="uniform"),
      "b982d343d9c10792c56410c5de465cf6f8ec987c6b474c09f9dcdf298ffe5f08"),
+    # 10 evaluation episodes: at 8 or more, numpy's pairwise sum differs
+    # from a left-to-right one, so this pins the evaluation mean's order
+    ("qa", dict(seed=0, eval_episodes=10),
+     "02cc9b80613b8c973f7918731ced174f8a8f7d5353cbe2dbe2b385350c239e05"),
 ]
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from absim.channel import ChannelParams, link_matrix, sample_fading
 from absim.radio import (LinkState, associate, db_to_linear, dbm_to_watt,
-                         evaluate_slot, link_tables, outage_keys, outage_stats, rate_bps,
-                         tx_power_dbm)
+                         evaluate_slot, link_tables, outage_fractions, outage_keys, outage_stats,
+                         rate_bps, tx_power_dbm)
 from helpers import brute_force_slot, gathered_loss_slot, interference, mk_cfg, sinr
 
 
@@ -214,13 +214,29 @@ def test_outage_stats_hand_case():
     state = _state_2x2()
     state.outage[:] = [True, False]
     pr = np.array([True, True])
-    stats = outage_stats(state, outage_keys(pr, 3), n_uav=3)
-    assert stats.priority == pytest.approx(0.5)
-    assert stats.regular == 0.0               # empty class counts as 0
-    assert stats.network == pytest.approx(0.5)
+    counts = outage_stats(state.assoc, state.outage, outage_keys(pr, 3), n_uav=3)
+    network, priority, regular = outage_fractions(counts)
+    assert priority == pytest.approx(0.5)
+    assert regular == 0.0                     # empty class counts as 0
+    assert network == pytest.approx(0.5)
 
 
 def test_outage_stats_all_clear():
     state = _state_2x2()
-    stats = outage_stats(state, outage_keys(np.array([True, False]), 2), n_uav=2)
-    assert stats.network == stats.priority == stats.regular == 0.0
+    counts = outage_stats(state.assoc, state.outage,
+                          outage_keys(np.array([True, False]), 2), n_uav=2)
+    assert outage_fractions(counts).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_outage_fractions_keep_leading_axes():
+    # a stack of slots reads the same fractions as each slot alone
+    state = _state_2x2()
+    keys = outage_keys(np.array([True, False]), 2)
+    slots = []
+    for outage in ([False, False], [True, False], [True, True]):
+        state.outage[:] = outage
+        slots.append(outage_stats(state.assoc, state.outage, keys, n_uav=2))
+    stacked = outage_fractions(np.stack(slots))
+    assert stacked.shape == (3, 3)
+    assert stacked.tolist() == [outage_fractions(c).tolist() for c in slots]
+    assert stacked[2].tolist() == [1.0, 1.0, 1.0]

@@ -10,13 +10,13 @@ from scipy import stats
 from scipy.spatial.distance import cdist
 
 from absim.condense import build_adjacency
-from absim.radio import outage_counts, outage_keys
+from absim.radio import outage_keys, outage_stats
 from absim.rl import (draw_exploration, export_qtables, load_qtables, masked, move_table,
                       reward, select_action)
 from absim.scenario import rng_stream
 from absim.sim import build_world, train
 from helpers import (brute_force_reward, feasible_actions, mk_cfg, neighbors,
-                     pcg64_state_before, td_step)
+                     pcg64_state_before, record_training_paths, td_step)
 
 
 def _chain(n, spacing=200.0):
@@ -219,7 +219,7 @@ def test_exploration_falls_back_where_lemire_could_reject(half):
     assert draws.per_call == (0,)
 
 
-def test_exploration_of_a_hover_only_world_draws_per_call():
+def test_exploration_of_a_hover_only_world_draws_per_call(monkeypatch):
     # one centroid: integers(1) draws nothing, so how much of the stream
     # an episode takes depends on the states; the row draws call by call
     cfg = mk_cfg(n_centroids=1, n_uav=1)
@@ -229,9 +229,11 @@ def test_exploration_of_a_hover_only_world_draws_per_call():
     draws = _episodes_match_per_call(gen, ref, 0.7, world.graph.adj, [5, 4], 1,
                                      np.random.default_rng(2))
     assert draws.per_call == (0,)
-    res = train(cfg, "kmeans")
-    assert all(path == [0] * (cfg.slots_per_episode + 1)
-               for r in res.episodes for path in r.trajectory)
+    paths = record_training_paths(monkeypatch)
+    train(cfg, "kmeans")
+    assert len(paths) == cfg.episodes
+    assert all(traj.shape == (cfg.slots_per_episode + 1, 1, 1) and not traj.any()
+               for traj in paths)
 
 
 def test_greedy_selection_leaves_the_stream_untouched():
@@ -248,8 +250,8 @@ def test_greedy_selection_leaves_the_stream_untouched():
 
 
 def _rewards(assoc, outage, priority_mask, cfg, n_uav=3):
-    counts = outage_counts(np.asarray(assoc), np.asarray(outage),
-                           outage_keys(np.asarray(priority_mask), n_uav), n_uav)
+    counts = outage_stats(np.asarray(assoc), np.asarray(outage),
+                          outage_keys(np.asarray(priority_mask), n_uav), n_uav)
     return counts, reward(counts, cfg.mu_pr, cfg.mu_nr)
 
 

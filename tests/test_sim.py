@@ -23,7 +23,7 @@ from absim.sim import (AUDIT_KEYS, METHODS, Lockstep, _audit_moves, build_world,
                        write_report_json, write_summary_md, write_sweep_csv,
                        write_timings_json, write_trajectory_csv)
 from absim.scenario import rng_stream
-from helpers import mk_cfg
+from helpers import mk_cfg, record_training_paths
 
 
 def test_build_world_wiring():
@@ -174,23 +174,25 @@ def test_power_cap_audit_counts_slots_not_users():
         2.0 * radio_constants(cfg).p_max_w
     audit = np.zeros((1, len(AUDIT_KEYS)), dtype=int)
     q = masked(np.zeros((1, 1, 5, 5)), batch.adj)
-    record = run_episode(batch, q, 1.0, [rng_stream(1, "fading")], [rng_stream(1, "egreedy")],
-                         learn=False, audit=audit)[0]
-    path = record.trajectory[0][1:]
+    _, traj = run_episode(batch, q, 1.0, [rng_stream(1, "fading")], [rng_stream(1, "egreedy")],
+                          learn=False, audit=audit)
+    path = traj[1:, 0, 0].tolist()
     at_one, at_two = path.count(1), path.count(2)
     assert at_one > 0 and at_two > 0 and at_one + at_two < cfg.slots_per_episode
     assert dict(zip(AUDIT_KEYS, audit[0].tolist()))["power_above_cap"] == at_one + at_two
 
 
-def test_training_never_leaves_the_feasible_moves():
+def test_training_never_leaves_the_feasible_moves(monkeypatch):
     cfg = mk_cfg()
+    paths = record_training_paths(monkeypatch)
     for method in METHODS:
+        paths.clear()
         res = train(cfg, method)
         feasible = res.world.graph.adj
         assert not feasible.all()          # else nothing to leave
-        paths = [p for rec in res.episodes for p in rec.trajectory]
-        for path in paths:
-            assert all(feasible[s, a] for s, a in zip(path, path[1:]))
+        assert len(paths) == cfg.episodes
+        for traj in paths:
+            assert feasible[traj[:-1], traj[1:]].all()
         assert not res.qtables[:, ~feasible].any()
         assert np.isfinite(res.qtables).all() and res.qtables[:, feasible].any()
 
@@ -257,14 +259,14 @@ def test_train_audit_is_clean():
     assert all(v == 0 for v in res.report.audit.values())
 
 
-def test_trajectories_follow_the_graph():
+def test_trajectories_follow_the_graph(monkeypatch):
     cfg = mk_cfg()
+    paths = record_training_paths(monkeypatch)
     res = train(cfg, "kmeans")
-    for rec in res.episodes:
-        for seq in rec.trajectory:
-            assert len(seq) == cfg.slots_per_episode + 1
-            for s, nxt in zip(seq, seq[1:]):
-                assert res.world.graph.adj[s, nxt]
+    assert len(paths) == cfg.episodes
+    for traj in paths:
+        assert traj.shape == (cfg.slots_per_episode + 1, 1, cfg.n_uav)
+        assert res.world.graph.adj[traj[:-1], traj[1:]].all()
     rows = res.report.eval_trajectory
     assert len(rows) == cfg.n_uav * (cfg.slots_per_episode + 1)
     for n, t, c, x, y in rows:
@@ -328,17 +330,20 @@ def _report_bytes(report, tmp_path, name):
 
 @pytest.mark.parametrize("overrides", [{}, dict(uav_start="random", n_uav=4)],
                          ids=["spread", "random-start-4uav"])
-def test_compare_methods_equals_solo_train(overrides, tmp_path):
+def test_compare_methods_equals_solo_train(overrides, tmp_path, monkeypatch):
     # 3 methods x 3 seeds in one lockstep batch, each byte-equal to its solo run
     cfg = mk_cfg(seed=2, **overrides)
+    paths = record_training_paths(monkeypatch)
     results = compare_methods(cfg, n_seeds=3)
-    for m in METHODS:
+    batch_paths = np.stack(paths)           # (episodes, slots + 1, world, n_uav)
+    for j, m in enumerate(METHODS):
         for i, res in enumerate(results[m]):
+            paths.clear()
             solo = train(dataclasses.replace(cfg, seed=cfg.seed + i), m)
             assert (_report_bytes(res.report, tmp_path, "batch")
                     == _report_bytes(solo.report, tmp_path, "solo")), (m, i)
             assert np.array_equal(res.qtables, solo.qtables)
-            assert [r.trajectory for r in res.episodes] == [r.trajectory for r in solo.episodes]
+            assert np.array_equal(batch_paths[:, :, 3 * j + i], np.stack(paths)[:, :, 0])
 
 
 def test_sweep_mu_equals_solo_train(tmp_path):
