@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands: condense, train, evaluate, sweep, compare, config.
+Subcommands: condense, train, evaluate, sweep and compare, which take --out
+DIR, and config, which writes nothing and takes no --out.
 Exit codes: 0 success, 2 usage or configuration errors (argparse failures,
 bad or non-finite config values, a --qtable that is not a file or does not
 match the config, an output path that is a file or lies below one), 1
@@ -49,10 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Condensed-graph trajectory learning for UAV base stations.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, method=True):
+    def common(p, method=True, out=True):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--out", default=None, help="output directory")
+        if out:
+            p.add_argument("--out", default=None, help="output directory")
         if method:
             p.add_argument("--method", choices=METHODS, default="qa")
 
@@ -82,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("config", help="print the resolved configuration")
-    common(p, method=False)
+    common(p, method=False, out=False)
     p.add_argument("--dump-defaults", action="store_true",
                    help="ignore --config and print built-in defaults")
     p.set_defaults(func=cmd_config)

@@ -239,32 +239,25 @@ def snrp_condense(nodes: np.ndarray, users_xy: np.ndarray, priority_mask: np.nda
                   cfg: ScenarioConfig) -> CondensedGraph:
     """Greedy top-proxy pick with a pairwise separation floor.
 
-    If a full pass cannot reach M centroids the floor is relaxed by 0.8x
-    and the pass repeats, so the pick always terminates with exactly M.
+    Each step takes the first candidate in proxy order whose distance to its
+    nearest pick (kept in one vector, -inf once picked) clears the floor. If
+    none does the floor is relaxed by 0.8x, to 0 once below 1e-9 m, where
+    every unpicked candidate clears it; so the pick ends with exactly M.
     """
     proxy = snr_proxy(nodes, users_xy, priority_mask, cfg)
-    order = np.argsort(-proxy, kind="stable")
-    chosen: list[int] = []
+    ranked = nodes[np.argsort(-proxy, kind="stable")]
+    near = np.full(len(ranked), np.inf)
+    picks: list[int] = []
     d_sep = cfg.d_sep_m
-    while len(chosen) < cfg.n_centroids:
-        for idx in order:
-            if len(chosen) >= cfg.n_centroids:
-                break
-            if any(i == idx for i in chosen):
-                continue
-            if chosen:
-                d2 = ((nodes[chosen] - nodes[idx]) ** 2).sum(axis=1)
-                if d2.min() < d_sep ** 2:
-                    continue
-            chosen.append(int(idx))
-        d_sep *= 0.8
-        if d_sep < 1e-9:
-            for idx in order:
-                if len(chosen) >= cfg.n_centroids:
-                    break
-                if not any(i == idx for i in chosen):
-                    chosen.append(int(idx))
-    centroids = nodes[chosen].copy()
+    while len(picks) < cfg.n_centroids:
+        i = int(np.argmax(near >= d_sep ** 2))
+        if near[i] < d_sep ** 2:
+            d_sep = d_sep * 0.8 if d_sep * 0.8 >= 1e-9 else 0.0
+            continue
+        np.minimum(near, ((ranked - ranked[i]) ** 2).sum(axis=1), out=near)
+        near[i] = -np.inf
+        picks.append(i)
+    centroids = ranked[picks]
     return build_adjacency(centroids, cfg, method="snrp",
                            dist=distortion(nodes, centroids))
 

@@ -75,25 +75,14 @@ def radio_constants(cfg: ScenarioConfig) -> RadioConstants:
     return _radio_constants(cfg.noise_dbm, cfg.gamma_th_db, cfg.n_rb, cfg.p_max_dbm)
 
 
-def tx_power_dbm(pl_serving_db, cfg: ScenarioConfig):
-    """Open-loop power control, capped at p_max_dbm; vectorized."""
-    pl = np.asarray(pl_serving_db, dtype=float)
-    return np.minimum(cfg.p_max_dbm,
-                      cfg.p0_dbm + cfg.alpha_ol * pl + radio_constants(cfg).rb_offset_db)
-
-
 def link_tables(loss_db: np.ndarray, cfg: ScenarioConfig) -> LinkTables:
-    """Gain and open-loop power of every link in a loss table, built once per
-    world: a slot gathers its fleet's columns, elementwise the same floats as
-    converting the gathered losses."""
+    """Gain and capped open-loop power, P0 + alpha L + 10 log10(n_rb) dBm, of
+    every link in a loss table, built once per world: a slot gathers its fleet's
+    columns, elementwise the same floats as converting the gathered losses."""
     loss = np.ascontiguousarray(loss_db, dtype=float)
-    return LinkTables(loss_db=loss, gain=db_to_linear(-loss),
-                      power_w=dbm_to_watt(tx_power_dbm(loss, cfg)))
-
-
-def associate(rx_power_w: np.ndarray) -> np.ndarray:
-    """Strongest-received-power association; ties go to the lowest index."""
-    return rx_power_w.argmax(axis=-1)
+    p_dbm = np.minimum(cfg.p_max_dbm,
+                       cfg.p0_dbm + cfg.alpha_ol * loss + radio_constants(cfg).rb_offset_db)
+    return LinkTables(loss_db=loss, gain=db_to_linear(-loss), power_w=dbm_to_watt(p_dbm))
 
 
 def rate_bps(sinr_lin, bandwidth_hz: float, out=None):
@@ -143,7 +132,7 @@ def evaluate_slot(tables: LinkTables, fleet: np.ndarray, fading: np.ndarray,
 
     gains = tables.gain.reshape(-1)[links] * fading
     rx = p_w[..., None] * gains                     # (..., n_users, n_uav)
-    assoc = associate(rx)
+    assoc = rx.argmax(axis=-1)    # strongest received power; ties go to the lowest index
 
     # inter-cell interference at ABS n: power arriving at n from users served
     # elsewhere; user-independent per ABS, so each user reads their column.

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from absim import sim
-from absim.condense import _draw_move
+from absim.condense import _draw_move, snr_proxy
 from absim.radio import dbm_to_watt, db_to_linear, radio_constants
 from absim.rl import masked, td_update
 from absim.scenario import ScenarioConfig
@@ -187,6 +187,36 @@ def propose(centroids, nodes, rng, cfg):
     out = centroids.copy()
     out[m] = new
     return out
+
+
+def snrp_picks(nodes, users_xy, priority_mask, cfg) -> list:
+    """Candidate indices in snrp_condense's pick order, by the original
+    loops: a pass in proxy order takes each candidate at least d_sep from
+    every pick so far, the floor shrinks by 0.8x after each short pass, and
+    once it falls below 1e-9 m the next candidates in proxy order fill up."""
+    proxy = snr_proxy(nodes, users_xy, priority_mask, cfg)
+    order = np.argsort(-proxy, kind="stable")
+    chosen = []
+    d_sep = cfg.d_sep_m
+    while len(chosen) < cfg.n_centroids:
+        for idx in order:
+            if len(chosen) >= cfg.n_centroids:
+                break
+            if any(i == idx for i in chosen):
+                continue
+            if chosen:
+                d2 = ((nodes[chosen] - nodes[idx]) ** 2).sum(axis=1)
+                if d2.min() < d_sep ** 2:
+                    continue
+            chosen.append(int(idx))
+        d_sep *= 0.8
+        if d_sep < 1e-9:
+            for idx in order:
+                if len(chosen) >= cfg.n_centroids:
+                    break
+                if not any(i == idx for i in chosen):
+                    chosen.append(int(idx))
+    return chosen
 
 
 def neighbors(graph) -> list:

@@ -1,12 +1,15 @@
 """Command line surface: artifacts, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from absim import sim
-from absim.cli import main
+from absim.cli import build_parser, main
 from absim.scenario import ScenarioConfig
 
 
@@ -70,6 +73,26 @@ def test_invalid_method_is_argparse_error(tiny_config):
     with pytest.raises(SystemExit) as exc:
         main(["condense", "--config", tiny_config, "--method", "pca"])
     assert exc.value.code == 2
+
+
+def test_config_takes_no_out(tmp_path):
+    # config writes nothing, so an --out would be silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["config", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_usage_lines_list_each_subcommands_flags():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1]
+    usage = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+             for line in block.splitlines() if line.startswith("absim ")}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(usage) == set(sub.choices)
+    for name, parser in sub.choices.items():
+        flags = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+        assert usage[name] == flags - {"--help"}, name
 
 
 def test_missing_subcommand_is_argparse_error():

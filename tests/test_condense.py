@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.cluster.vq import kmeans2, vq
+from scipy.spatial.distance import pdist
 
 from absim.condense import (accept, build_adjacency, distortion, kmeans_condense,
                             qa_condense, snr_proxy, snrp_condense)
 from absim.scenario import drop_users, generate_candidates, rng_stream
-from helpers import greedy_bridge_adjacency, mk_cfg, neighbors, propose
+from helpers import greedy_bridge_adjacency, mk_cfg, neighbors, propose, snrp_picks
 
 
 def test_distortion_hand_values():
@@ -216,6 +217,31 @@ def test_snrp_first_pick_is_top_proxy():
     proxy = snr_proxy(nodes, xy, mask, cfg)
     graph = snrp_condense(nodes, xy, mask, cfg)
     assert tuple(graph.centroids[0]) == tuple(nodes[int(np.argmax(proxy))])
+
+
+# two pairs that no floor of 1e-9 m or more separates: 4e-10 m apart, and an
+# exact duplicate, whose proxies tie
+NEAR_DUPLICATES = np.array([[0.0, 0.0], [0.0, 4e-10], [300.0, 0.0], [300.0, 300.0],
+                            [0.0, 300.0], [150.0, 150.0], [300.0, 300.0]])
+
+
+@pytest.mark.parametrize("overrides,nodes,fill", [
+    (dict(d_sep_m=0.0), None, False),
+    (dict(n_centroids=10, d_sep_m=50_000.0), None, False),     # 22 relaxations
+    (dict(x_max=2800.0, y_max=2800.0, n_users=100, n_candidates=3600, n_centroids=120),
+     None, False),
+    (dict(n_centroids=len(NEAR_DUPLICATES)), NEAR_DUPLICATES, True),
+], ids=["no-floor", "relaxed-floor", "condense-wide", "sub-1e-9-fill"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_snrp_picks_follow_the_loop_oracle(overrides, nodes, fill, seed):
+    cfg = mk_cfg(seed=seed, **overrides)
+    if nodes is None:
+        nodes = generate_candidates(cfg)
+    xy, mask = drop_users(cfg)
+    got = snrp_condense(nodes, xy, mask, cfg).centroids
+    assert got.tobytes() == nodes[snrp_picks(nodes, xy, mask, cfg)].tobytes()
+    # only the fill at a floor below 1e-9 m can pick a pair closer than that
+    assert (pdist(got).min() < 1e-9) == fill
 
 
 def test_adjacency_threshold_inclusive_path():

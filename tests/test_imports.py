@@ -1,4 +1,5 @@
-"""Every module under src/, tests/ and demos/ uses each name it imports."""
+"""Every module under src/, tests/ and demos/ uses each name it imports, and
+every module-level def or class in src/ has a caller in src/ or perfbench/."""
 
 import ast
 import pathlib
@@ -7,6 +8,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+PRODUCTION = sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -40,3 +42,49 @@ def test_scan_flags_unused_and_honours_all_and_future():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def references(tree, skip=None) -> set:
+    """Names a module reads, as a bare name, an attribute, an imported name
+    or a string (perfbench looks its targets up with getattr), leaving out
+    the subtree of the node skip."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def uncalled_definitions(sources: dict) -> list:
+    """(module, name) of each module-level def or class in sources, a dict of
+    path to source text, that no module references outside its own body."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    elsewhere = {path: set().union(*(references(t) for p, t in trees.items() if p != path))
+                 for path in trees}
+    return sorted((path, node.name) for path, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name not in elsewhere[path] | references(tree, skip=node))
+
+
+def test_definition_scan_flags_uncalled_and_self_recursive():
+    sources = {"a.py": "def used():\n    pass\n\nclass Spare:\n    pass\n\n"
+                       "def recurse(n):\n    return recurse(n - 1)\n",
+               "b.py": "from a import used\nfor name in ('by_string',):\n    getattr(a, name)\n"
+                       "def by_string():\n    pass\n"}
+    assert uncalled_definitions(sources) == [("a.py", "Spare"), ("a.py", "recurse")]
+
+
+def test_every_src_definition_has_a_production_caller():
+    # test-only helpers live in tests/, not src/
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in PRODUCTION}
+    assert [(p, name) for p, name in uncalled_definitions(sources) if p.startswith("src")] == []

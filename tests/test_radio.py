@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absim.channel import ChannelParams, link_matrix, sample_fading
-from absim.radio import (LinkState, associate, db_to_linear, dbm_to_watt,
-                         evaluate_slot, link_tables, outage_fractions, outage_keys, outage_stats,
-                         rate_bps, tx_power_dbm)
+from absim.radio import (LinkState, db_to_linear, dbm_to_watt, evaluate_slot, link_tables,
+                         outage_fractions, outage_keys, outage_stats, rate_bps)
 from helpers import brute_force_slot, gathered_loss_slot, interference, mk_cfg, sinr
 
 
@@ -18,25 +17,36 @@ def test_dbm_watt_conversions():
     assert db_to_linear(10.0) == pytest.approx(10.0)
 
 
+def _power_w(loss_db, cfg):
+    """Open-loop transmit power [W] of links with these losses, as the
+    slot reads it from the link table."""
+    return link_tables(np.array([loss_db], dtype=float), cfg).power_w[0]
+
+
 def test_open_loop_power_reference_point():
     cfg = mk_cfg(p0_dbm=-85.0, alpha_ol=0.8)
-    assert tx_power_dbm(100.0, cfg) == pytest.approx(-5.0)
-    assert tx_power_dbm(200.0, cfg) == pytest.approx(23.0)   # capped
+    want = dbm_to_watt(np.array([-5.0, 23.0]))                # 23 dBm is the cap
+    assert _power_w([100.0, 200.0], cfg) == pytest.approx(want)
     flat = mk_cfg(alpha_ol=0.0, p0_dbm=-20.0)
-    assert tx_power_dbm(60.0, flat) == tx_power_dbm(160.0, flat) == -20.0
+    assert (_power_w([60.0, 160.0], flat) == dbm_to_watt(-20.0)).all()
 
 
 def test_open_loop_power_rb_offset_and_vector():
     cfg = mk_cfg(p0_dbm=-85.0, alpha_ol=0.8, n_rb=4)
-    assert tx_power_dbm(100.0, cfg) == pytest.approx(-5.0 + 10 * np.log10(4))
-    got = tx_power_dbm(np.array([100.0, 200.0]), mk_cfg(p0_dbm=-85.0, alpha_ol=0.8))
-    assert np.allclose(got, [-5.0, 23.0])
+    assert _power_w([100.0], cfg)[0] == pytest.approx(dbm_to_watt(-5.0 + 10 * np.log10(4)))
+    got = _power_w([100.0, 200.0], mk_cfg(p0_dbm=-85.0, alpha_ol=0.8))
+    assert np.allclose(got, dbm_to_watt(np.array([-5.0, 23.0])))
 
 
 def test_association_argmax_and_ties():
-    rx = np.array([[1e-9, 3e-9, 2e-9],
-                   [5e-9, 5e-9, 5e-9]])
-    assert associate(rx).tolist() == [1, 0]   # ties to lowest index
+    # user 0 hears ABS 1 strongest; user 1 hears all three at the same power
+    cfg = mk_cfg()
+    loss = np.array([[90.0, 80.0, 85.0],
+                     [80.0, 80.0, 80.0]])
+    state = evaluate_slot(link_tables(loss, cfg), np.arange(3), np.ones((2, 3)),
+                          np.array([0, 2]), cfg)
+    assert state.gains[1].tolist() == [state.gains[1, 0]] * 3
+    assert state.assoc.tolist() == [1, 0]   # ties to lowest index
 
 
 def _state_2x2():
