@@ -99,9 +99,6 @@ def _apply_move(dist2, d1, i1, d2, i2, m, col, served):
     gain m as a closer option, which is a pure vector update.
     """
     dist2[:, m] = col
-    if dist2.shape[1] == 1:
-        np.copyto(d1, col)
-        return
     stale = served | (i2 == m)
     fresh = ~stale
     up1 = fresh & (col < d1)

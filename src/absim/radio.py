@@ -4,7 +4,9 @@ Per slot, each user sets its transmit power open-loop against the path loss
 of the ABS it was associated with in the previous slot, then associates to
 the ABS with the strongest received power this slot. Interference at an ABS
 is the total received power of users served elsewhere (single shared
-channel, intra-cell users are orthogonal).
+channel, intra-cell users are orthogonal). Everything a slot reads is in
+its link_tables, built once per world: each link's gain and capped power,
+the noise power and the SINR threshold.
 
 A slot's outage is one count table, users by outcome, class and serving
 ABS (outage_stats); outage_fractions reads [network, priority, regular]
@@ -24,11 +26,11 @@ from .scenario import ScenarioConfig
 
 
 def dbm_to_watt(p_dbm):
-    return np.power(10.0, (np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
+    return np.power(10.0, (p_dbm - 30.0) / 10.0)
 
 
 def db_to_linear(x_db):
-    return np.power(10.0, np.asarray(x_db, dtype=float) / 10.0)
+    return np.power(10.0, x_db / 10.0)
 
 
 @dataclass
@@ -46,33 +48,14 @@ class LinkState:
 
 
 class LinkTables(NamedTuple):
-    """Per-world tables of every user-to-centroid link, (..., n_users, M)."""
+    """Per-world tables of every user-to-centroid link, (..., n_users, M),
+    and the slot chain's two scalars."""
 
     loss_db: np.ndarray      # large-scale loss
     gain: np.ndarray         # linear gain 10^(-L/10), fading excluded
     power_w: np.ndarray      # capped open-loop transmit power toward the centroid
-
-
-class RadioConstants(NamedTuple):
-    """Scalars of the slot chain that depend on the configuration only."""
-
     noise_w: float
-    gamma_lin: float
-    rb_offset_db: float     # 10 log10(n_rb), the power-control bandwidth term
-    p_max_w: float
-
-
-@lru_cache(maxsize=64)
-def _radio_constants(noise_dbm, gamma_th_db, n_rb, p_max_dbm) -> RadioConstants:
-    return RadioConstants(noise_w=float(dbm_to_watt(noise_dbm)),
-                          gamma_lin=float(db_to_linear(gamma_th_db)),
-                          rb_offset_db=10.0 * np.log10(n_rb),
-                          p_max_w=float(dbm_to_watt(p_max_dbm)))
-
-
-def radio_constants(cfg: ScenarioConfig) -> RadioConstants:
-    """Computed once per distinct value set, not once per slot."""
-    return _radio_constants(cfg.noise_dbm, cfg.gamma_th_db, cfg.n_rb, cfg.p_max_dbm)
+    gamma_lin: float         # linear SINR threshold of an outage
 
 
 def link_tables(loss_db: np.ndarray, cfg: ScenarioConfig) -> LinkTables:
@@ -80,9 +63,9 @@ def link_tables(loss_db: np.ndarray, cfg: ScenarioConfig) -> LinkTables:
     every link in a loss table, built once per world: a slot gathers its fleet's
     columns, elementwise the same floats as converting the gathered losses."""
     loss = np.ascontiguousarray(loss_db, dtype=float)
-    p_dbm = np.minimum(cfg.p_max_dbm,
-                       cfg.p0_dbm + cfg.alpha_ol * loss + radio_constants(cfg).rb_offset_db)
-    return LinkTables(loss_db=loss, gain=db_to_linear(-loss), power_w=dbm_to_watt(p_dbm))
+    p_dbm = np.minimum(cfg.p_max_dbm, cfg.p0_dbm + cfg.alpha_ol * loss + 10.0 * np.log10(cfg.n_rb))
+    return LinkTables(loss_db=loss, gain=db_to_linear(-loss), power_w=dbm_to_watt(p_dbm),
+                      noise_w=dbm_to_watt(cfg.noise_dbm), gamma_lin=db_to_linear(cfg.gamma_th_db))
 
 
 def rate_bps(sinr_lin, bandwidth_hz: float, out=None):
@@ -108,17 +91,17 @@ def _flat_offsets(lead: tuple, n_users: int, m: int, n_uav: int):
 
 
 def evaluate_slot(tables: LinkTables, fleet: np.ndarray, fading: np.ndarray,
-                  prev_assoc: np.ndarray | None, cfg: ScenarioConfig) -> LinkState:
+                  prev_assoc: np.ndarray | None) -> LinkState:
     """Run the slot pipeline for all users at once.
 
     tables holds link_tables of shape (n_users, M) and fleet the (n_uav,)
     centroid of every ABS, or (S, n_users, M) and (S, n_uav) for S worlds
     in lockstep, with every world's float operations in the same order as a
-    2-D call on its slice. fading is (..., n_users, n_uav). prev_assoc is
-    last slot's association; None (first slot) falls back to the strongest
-    large-scale link, fading excluded.
+    2-D call on its slice. The noise power and the SINR threshold come with
+    the tables, so a slot reads no config. fading is (..., n_users, n_uav).
+    prev_assoc is last slot's association; None (first slot) falls back to
+    the strongest large-scale link, fading excluded.
     """
-    const = radio_constants(cfg)
     *lead, n_uav = fleet.shape
     n_users, m = tables.gain.shape[-2:]
     table_rows, rows, cells = _flat_offsets(tuple(lead), n_users, m, n_uav)
@@ -147,7 +130,7 @@ def evaluate_slot(tables: LinkTables, fleet: np.ndarray, fading: np.ndarray,
     in_cell.reshape(-1)[own] = True
     interf = np.where(in_cell, 0.0, rx).sum(axis=-2).reshape(-1)[cells + assoc]
 
-    snr = sig / (const.noise_w + interf)
+    snr = sig / (tables.noise_w + interf)
     return LinkState(
         gains=gains,
         tx_power_w=p_w,
@@ -155,7 +138,7 @@ def evaluate_slot(tables: LinkTables, fleet: np.ndarray, fading: np.ndarray,
         assoc=assoc,
         interference_w=interf,
         sinr=snr,
-        outage=snr < const.gamma_lin,
+        outage=snr < tables.gamma_lin,
     )
 
 

@@ -17,7 +17,7 @@ load_qtables) hold 0 there instead. Worlds stepped in lockstep stack these
 along a leading world axis, so selection and backups take one call per
 slot. Epsilon-greedy exploration is drawn once per episode, from the raw
 words of each world's stream (draw_exploration), exactly as numpy 2.4.6's
-Generator calls would draw it slot by slot.
+Generator calls would draw it slot by slot; a one-centroid world draws none.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from .condense import CondensedGraph
 
 
 def move_table(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Targets per state of an (M, M) adjacency, ascending and left-aligned
-    in an (M, M) table padded with -1, and their count per state."""
+    """Targets per state of (..., M, M) adjacencies, ascending and left-aligned
+    in a table of that shape padded with -1, and their count per state."""
     m = adj.shape[-1]
     n_moves = adj.sum(axis=-1)
     first = np.argsort(~adj, axis=-1, kind="stable")
-    return np.where(np.arange(m) < n_moves[:, None], first, -1), n_moves
+    return np.where(np.arange(m) < n_moves[..., None], first, -1), n_moves
 
 
 @lru_cache(maxsize=16)
@@ -64,9 +64,9 @@ class Exploration(NamedTuple):
 
     slots[t] is None if no UAV explores in slot t, else the (S, n_uav)
     arrays (explore, half): UAV u of row k explores where explore[k, u],
-    with the 32-bit draw half[k, u]. Rows in per_call draw from rngs[k]
-    call by call instead, in select_action. moves[k] and n_moves[k] are
-    row k's move table (rl.move_table).
+    with the 32-bit draw half[k, u]. Rows in per_call, whose draws Lemire's
+    method could reject, draw from rngs[k] call by call, in select_action.
+    moves[k] and n_moves[k] are row k's move table (rl.move_table).
     """
 
     eps: float
@@ -127,17 +127,16 @@ def draw_exploration(rngs: list, eps: float, n_slots: int, n_uav: int,
 
     moves and n_moves are the rows' (S, M, M) and (S, M) move tables.
     Whether a UAV explores does not depend on Q, and neither does how much
-    of the stream it takes, unless a state has a single move (integers(1)
-    draws nothing): a row with such a state draws call by call.
+    of the stream it takes, given that every state has two moves or more:
+    build_adjacency graphs are connected, so that holds for M >= 2. With
+    one centroid, the hover only, nothing is drawn, as at eps = 0.
     """
-    if eps <= 0.0:
+    if eps <= 0.0 or moves.shape[-1] == 1:
         return Exploration(eps, rngs, moves, n_moves, [None] * n_slots, ())
     half = np.full((len(rngs), n_slots * n_uav), -1, dtype=np.int64)
     per_call = []
     for k, rng in enumerate(rngs):
-        drawn = None
-        if n_moves[k].min() > 1:
-            drawn = _episode_halves(rng.bit_generator, eps, n_slots * n_uav, moves.shape[-1])
+        drawn = _episode_halves(rng.bit_generator, eps, n_slots * n_uav, moves.shape[-1])
         if drawn is None:
             per_call.append(k)
         else:
@@ -157,7 +156,7 @@ def select_action(q: np.ndarray, states: np.ndarray, draws: Exploration, t: int)
     (half * n) >> 32 of its state's n moves, as integers(n) does from that
     half. A row in draws.per_call calls its stream UAV by UAV instead:
     random(), then, if below eps, integers() over the state's moves. With
-    eps = 0 nothing is drawn.
+    eps = 0 or one centroid nothing is drawn.
     """
     w, n = _index_arrays(*states.shape)
     actions = q[w, n, states].argmax(axis=-1)

@@ -36,8 +36,8 @@ import numpy as np
 
 from .scenario import ScenarioConfig, config_hash, drop_users, generate_candidates, rng_stream
 from .channel import ChannelParams, link_matrix, sample_fading
-from .radio import (evaluate_slot, link_tables, outage_fractions, outage_keys, outage_stats,
-                    radio_constants, rate_bps)
+from .radio import (dbm_to_watt, evaluate_slot, link_tables, outage_fractions, outage_keys,
+                    outage_stats, rate_bps)
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
 from .rl import (Exploration, _index_arrays, draw_exploration, masked, move_table, reward,
                  select_action, td_update)
@@ -144,12 +144,12 @@ class Lockstep:
         self.links = link_tables(np.stack([w.loss_db for w in worlds]), cfg)
         self.outage_keys = outage_keys(np.stack([w.priority_mask for w in worlds]), cfg.n_uav)
         self.adj = np.stack([w.graph.adj for w in worlds])
-        self.moves, self.n_moves = map(np.stack, zip(*(move_table(adj) for adj in self.adj)))
+        self.moves, self.n_moves = move_table(self.adj)
         # [row, s, a] audit bits of a move: 1 no edge, 2 beyond one slot's
         # flight; column M stands for every target off the graph (bit 4)
         self.move_flags = np.full((len(worlds), m, m + 1), 4, dtype=np.uint8)
         self.move_flags[:, :, :m] = ~self.adj + 2 * ~np.stack([w.move_ok for w in worlds])
-        self.p_cap_w = radio_constants(cfg).p_max_w * (1.0 + 1e-12)
+        self.p_cap_w = dbm_to_watt(cfg.p_max_dbm) * (1.0 + 1e-12)
         self.mu_pr = np.array([[w.cfg.mu_pr] for w in worlds])
         self.mu_nr = np.array([[w.cfg.mu_nr] for w in worlds])
 
@@ -181,7 +181,7 @@ def run_slot(batch: Lockstep, q: np.ndarray, states: np.ndarray,
     """
     cfg = batch.cfg
     actions = select_action(q, states, draws, t)
-    link = evaluate_slot(batch.links, actions, fading, prev_assoc, cfg)
+    link = evaluate_slot(batch.links, actions, fading, prev_assoc)
     counts = outage_stats(link.assoc, link.outage, batch.outage_keys, cfg.n_uav)
     rewards = reward(counts, batch.mu_pr, batch.mu_nr)
     if learn:

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 
 from absim import sim
 from absim.condense import _draw_move, snr_proxy
-from absim.radio import dbm_to_watt, db_to_linear, radio_constants
+from absim.radio import dbm_to_watt, db_to_linear
 from absim.rl import masked, td_update
 from absim.scenario import ScenarioConfig
 
@@ -122,19 +122,18 @@ def gathered_loss_slot(large_scale_db, fading, prev_assoc, cfg):
     gains and transmit powers converted in the slot: the formula the link
     tables must reproduce bit for bit. Returns (tx_power_w, gains, assoc,
     interference_w, sinr, outage)."""
-    const = radio_constants(cfg)
     users = np.arange(large_scale_db.shape[0])
     serving = np.argmin(large_scale_db, axis=1) if prev_assoc is None else prev_assoc
     p_w = dbm_to_watt(np.minimum(cfg.p_max_dbm, cfg.p0_dbm + cfg.alpha_ol
-                                 * large_scale_db[users, serving] + const.rb_offset_db))
+                                 * large_scale_db[users, serving] + 10.0 * np.log10(cfg.n_rb)))
     gains = db_to_linear(-large_scale_db) * fading
     rx = p_w[:, None] * gains
     assoc = rx.argmax(axis=1)
     in_cell = np.zeros(rx.shape, dtype=bool)
     in_cell[users, assoc] = True
     interf = np.where(in_cell, 0.0, rx).sum(axis=0)[assoc]
-    snr = rx[users, assoc] / (const.noise_w + interf)
-    return p_w, gains, assoc, interf, snr, snr < const.gamma_lin
+    snr = rx[users, assoc] / (dbm_to_watt(cfg.noise_dbm) + interf)
+    return p_w, gains, assoc, interf, snr, snr < db_to_linear(cfg.gamma_th_db)
 
 
 # -- reference paths the pipeline no longer uses ----------------------------

@@ -135,7 +135,7 @@ def test_criterion_07_radio_matches_brute_force():
         _, loss = link_matrix(uav_xy, cfg.altitude_m, users_xy, chan)
         fading = sample_fading(rng, (n_users, n_uav))
         prev = rng.integers(0, n_uav, n_users) if trial % 2 else None
-        state = evaluate_slot(link_tables(loss, cfg), np.arange(n_uav), fading, prev, cfg)
+        state = evaluate_slot(link_tables(loss, cfg), np.arange(n_uav), fading, prev)
         _, assoc, interf, snr, out = brute_force_slot(loss, fading, prev, cfg)
         assert np.array_equal(state.assoc, assoc)
         assert np.allclose(state.interference_w, interf, rtol=1e-12, atol=1e-300)

@@ -124,8 +124,11 @@ def test_qa_trace_best_is_monotone():
     assert graph.trace["accepted"][-1] >= 1
 
 
-def test_qa_incremental_distortion_bookkeeping_is_exact():
-    cfg = mk_cfg(n_candidates=100, n_centroids=9)
+@pytest.mark.parametrize("n_centroids", [9, 1])
+def test_qa_incremental_distortion_bookkeeping_is_exact(n_centroids):
+    # at M = 1 every candidate is served by the moved centroid, so every
+    # accepted move rescans all rows
+    cfg = mk_cfg(n_candidates=100, n_centroids=n_centroids, n_uav=1)
     nodes = generate_candidates(cfg)
     graph = qa_condense(nodes, cfg)
     assert graph.distortion == pytest.approx(

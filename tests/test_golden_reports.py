@@ -33,6 +33,20 @@ GOLDEN = [
     # from a left-to-right one, so this pins the evaluation mean's order
     ("qa", dict(seed=0, eval_episodes=10),
      "02cc9b80613b8c973f7918731ced174f8a8f7d5353cbe2dbe2b385350c239e05"),
+    # one centroid: every move is the hover and the annealer's distance
+    # table has one column, so these pin that M = 1 takes the generic paths
+    ("qa", dict(seed=0, n_centroids=1, n_uav=1, uav_start="spread"),
+     "5cfb64d4cbadac5229c1c136803459837e17a31dc52c9bc1f9a4b4463e3fb429"),
+    ("qa", dict(seed=0, n_centroids=1, n_uav=1, uav_start="random"),
+     "df1c29c188b09f6bafd97c69a371c59c928ddad8393bb0e486123dd71099a805"),
+    ("kmeans", dict(seed=0, n_centroids=1, n_uav=1, uav_start="spread"),
+     "b7edc1ca8583527b924e6f48bfe4420ec1d9561855db3fbe0d812601d9f66c0d"),
+    ("kmeans", dict(seed=0, n_centroids=1, n_uav=1, uav_start="random"),
+     "ac405e8cbcb4aad6ab57022cb4e392811d9f5e93ff4cf80078d6c6449f0f57a7"),
+    ("snrp", dict(seed=0, n_centroids=1, n_uav=1, uav_start="spread"),
+     "4fdb723bd8d64a5cc6cd3bf8f6a8e78e76e93767ac0b2d5099a6715e0667b82d"),
+    ("snrp", dict(seed=0, n_centroids=1, n_uav=1, uav_start="random"),
+     "da1d66bfbb71cfa8e7949a512260696e1b724df162a97e1a0305aa413036a691"),
 ]
 
 

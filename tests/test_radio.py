@@ -44,7 +44,7 @@ def test_association_argmax_and_ties():
     loss = np.array([[90.0, 80.0, 85.0],
                      [80.0, 80.0, 80.0]])
     state = evaluate_slot(link_tables(loss, cfg), np.arange(3), np.ones((2, 3)),
-                          np.array([0, 2]), cfg)
+                          np.array([0, 2]))
     assert state.gains[1].tolist() == [state.gains[1, 0]] * 3
     assert state.assoc.tolist() == [1, 0]   # ties to lowest index
 
@@ -102,7 +102,7 @@ def test_slot_pipeline_equals_brute_force():
         n_uav = int(rng.integers(1, 4))
         loss, fading = _random_instance(rng, cfg, n_users, n_uav)
         prev = rng.integers(0, n_uav, n_users) if trial % 2 else None
-        state = evaluate_slot(link_tables(loss, cfg), np.arange(n_uav), fading, prev, cfg)
+        state = evaluate_slot(link_tables(loss, cfg), np.arange(n_uav), fading, prev)
         p_w, assoc, interf, snr, out = brute_force_slot(loss, fading, prev, cfg)
         assert np.array_equal(state.assoc, assoc)
         assert np.allclose(state.tx_power_w, p_w, rtol=1e-12, atol=0)
@@ -125,11 +125,11 @@ def test_batched_slot_equals_per_world_calls(n_worlds, n_users, n_uav, seed, wit
     # a users-contiguous layout too: summing users along a contiguous axis
     # would switch numpy to pairwise sums and change the interference bits
     swapped = [np.ascontiguousarray(a.swapaxes(1, 2)).swapaxes(1, 2) for a in (loss, fading)]
-    for batched in (evaluate_slot(link_tables(loss, cfg), fleet, fading, prev, cfg),
-                    evaluate_slot(link_tables(swapped[0], cfg), fleet, swapped[1], prev, cfg)):
+    for batched in (evaluate_slot(link_tables(loss, cfg), fleet, fading, prev),
+                    evaluate_slot(link_tables(swapped[0], cfg), fleet, swapped[1], prev)):
         for k in range(n_worlds):
             solo = evaluate_slot(link_tables(loss[k], cfg), np.arange(n_uav), fading[k],
-                                 None if prev is None else prev[k], cfg)
+                                 None if prev is None else prev[k])
             for name in ("gains", "tx_power_w", "serving_prev", "assoc", "interference_w",
                          "sinr", "outage"):
                 got, want = getattr(batched, name)[k], getattr(solo, name)
@@ -156,7 +156,7 @@ def test_table_gather_equals_loss_formula_and_brute_force(n_worlds, n_users, m, 
     fleet = rng.integers(0, m, (n_worlds, n_uav))
     fading = sample_fading(rng, (n_worlds, n_users, n_uav))
     prev = rng.integers(0, n_uav, (n_worlds, n_users)) if with_prev else None
-    state = evaluate_slot(link_tables(loss, cfg), fleet, fading, prev, cfg)
+    state = evaluate_slot(link_tables(loss, cfg), fleet, fading, prev)
     for k in range(n_worlds):
         gathered = loss[k][:, fleet[k]]
         prev_k = None if prev is None else prev[k]
@@ -178,7 +178,7 @@ def test_first_slot_serves_strongest_large_scale():
     cfg = mk_cfg()
     loss = np.array([[90.0, 70.0]])          # ABS 1 is the stronger link
     fading = np.array([[50.0, 0.01]])        # fading would say otherwise
-    state = evaluate_slot(link_tables(loss, cfg), np.arange(2), fading, None, cfg)
+    state = evaluate_slot(link_tables(loss, cfg), np.arange(2), fading, None)
     assert state.serving_prev.tolist() == [1]
 
 
@@ -186,7 +186,7 @@ def test_power_cap_never_exceeded():
     cfg = mk_cfg()
     rng = np.random.default_rng(2)
     loss, fading = _random_instance(rng, cfg, 12, 3)
-    state = evaluate_slot(link_tables(loss, cfg), np.arange(3), fading, None, cfg)
+    state = evaluate_slot(link_tables(loss, cfg), np.arange(3), fading, None)
     assert state.tx_power_w.max() <= dbm_to_watt(cfg.p_max_dbm) * (1 + 1e-12)
     assert (state.sinr >= 0).all()
     assert np.array_equal(state.outage, state.sinr < db_to_linear(cfg.gamma_th_db))
@@ -196,7 +196,7 @@ def test_single_abs_is_noise_limited():
     cfg = mk_cfg()
     rng = np.random.default_rng(3)
     loss, fading = _random_instance(rng, cfg, 10, 1)
-    state = evaluate_slot(link_tables(loss, cfg), np.arange(1), fading, None, cfg)
+    state = evaluate_slot(link_tables(loss, cfg), np.arange(1), fading, None)
     assert np.all(state.interference_w == 0.0)
     noise_w = float(dbm_to_watt(cfg.noise_dbm))
     want = state.tx_power_w * state.gains[:, 0] / noise_w
@@ -216,7 +216,7 @@ def test_association_partitions_users():
     cfg = mk_cfg()
     rng = np.random.default_rng(4)
     loss, fading = _random_instance(rng, cfg, 30, 3)
-    state = evaluate_slot(link_tables(loss, cfg), np.arange(3), fading, None, cfg)
+    state = evaluate_slot(link_tables(loss, cfg), np.arange(3), fading, None)
     assert np.bincount(state.assoc, minlength=3).sum() == 30
 
 

@@ -219,16 +219,18 @@ def test_exploration_falls_back_where_lemire_could_reject(half):
     assert draws.per_call == (0,)
 
 
-def test_exploration_of_a_hover_only_world_draws_per_call(monkeypatch):
-    # one centroid: integers(1) draws nothing, so how much of the stream
-    # an episode takes depends on the states; the row draws call by call
+def test_exploration_of_a_hover_only_world_draws_nothing(monkeypatch):
+    # one centroid: every action is the hover, so no exploration is drawn
+    # and the stream stays where it was, as at eps = 0
     cfg = mk_cfg(n_centroids=1, n_uav=1)
     world, _ = build_world(cfg, "kmeans")
     assert world.graph.adj.tolist() == [[True]]
-    gen, ref = rng_stream(0, "egreedy"), rng_stream(0, "egreedy")
-    draws = _episodes_match_per_call(gen, ref, 0.7, world.graph.adj, [5, 4], 1,
-                                     np.random.default_rng(2))
-    assert draws.per_call == (0,)
+    gen = rng_stream(0, "egreedy")
+    before = gen.bit_generator.state
+    moves, n_moves = move_table(world.graph.adj)
+    draws = draw_exploration([gen], 0.7, 5, 1, moves[None], n_moves[None])
+    assert draws.slots == [None] * 5 and draws.per_call == ()
+    assert gen.bit_generator.state == before
     paths = record_training_paths(monkeypatch)
     train(cfg, "kmeans")
     assert len(paths) == cfg.episodes

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from absim.channel import ChannelParams, link_matrix, sample_fading
 from absim import sim
 from absim.condense import CondensedGraph
-from absim.radio import radio_constants
+from absim.radio import dbm_to_watt
 from absim.rl import masked
 from absim.scenario import config_hash
 from absim.sim import (AUDIT_KEYS, METHODS, Lockstep, _audit_moves, build_world,
@@ -171,7 +171,7 @@ def test_power_cap_audit_counts_slots_not_users():
     cfg = mk_cfg(n_uav=1, n_users=2)
     batch = Lockstep([_bridged_chain_world(cfg)])
     batch.links.power_w[0, :, 1] = batch.links.power_w[0, 0, 2] = \
-        2.0 * radio_constants(cfg).p_max_w
+        2.0 * dbm_to_watt(cfg.p_max_dbm)
     audit = np.zeros((1, len(AUDIT_KEYS)), dtype=int)
     q = masked(np.zeros((1, 1, 5, 5)), batch.adj)
     _, traj = run_episode(batch, q, 1.0, [rng_stream(1, "fading")], [rng_stream(1, "egreedy")],
