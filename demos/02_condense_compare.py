@@ -8,9 +8,8 @@ with each of the three condensers and compares what comes out.
 """
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from absim.condense import kmeans_condense, qa_condense, snrp_condense
+from absim.condense import kmeans_condense, qa_condense, snrp_condense, sq_dist
 from absim.scenario import ScenarioConfig, drop_users, generate_candidates
 
 cfg = ScenarioConfig()
@@ -32,9 +31,9 @@ print(f"\n{'method':>8} {'distortion':>12} {'vs kmeans':>10} "
       f"{'nn median m':>12} {'virtual edges':>14}")
 km_dist = graphs["kmeans"].distortion
 for name, g in graphs.items():
-    d2 = cdist(g.centroids, g.centroids)
-    np.fill_diagonal(d2, np.inf)
-    nn_median = float(np.median(d2.min(axis=1)))
+    d = np.sqrt(sq_dist(g.centroids, g.centroids))
+    np.fill_diagonal(d, np.inf)
+    nn_median = float(np.median(d.min(axis=1)))
     print(f"{name:>8} {g.distortion:12.0f} {g.distortion / km_dist:10.3f} "
           f"{nn_median:12.0f} {sum(v for _, _, v in g.edges):14d}")
 

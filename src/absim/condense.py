@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .scenario import ScenarioConfig, rng_stream
 from .channel import ChannelParams, link_matrix
+from .radio import db_to_linear
 
 # annealing stops once the best distortion moved less than STOP_TOL over the
 # last STOP_WINDOW temperature steps
@@ -48,9 +48,19 @@ class CondensedGraph:
         return len(self.centroids)
 
 
+def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances between 2-D points, dx*dx + dy*dy."""
+    dx = np.subtract.outer(a[:, 0], b[:, 0])
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def distortion(nodes: np.ndarray, centroids: np.ndarray) -> float:
     """Sum over candidates of squared distance to the nearest centroid."""
-    return float(cdist(nodes, centroids, "sqeuclidean").min(axis=1).sum())
+    return float(sq_dist(nodes, centroids).min(axis=1).sum())
 
 
 def _draw_move(centroids, nodes, rng, cfg) -> tuple[int, np.ndarray]:
@@ -131,7 +141,7 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
     n0 = len(nodes)
     centroids = nodes[rng.choice(n0, size=m_cent, replace=False)].copy()
 
-    dist2 = cdist(nodes, centroids, "sqeuclidean")   # (n0, M), kept current
+    dist2 = sq_dist(nodes, centroids)   # (n0, M), kept current
     d1, i1, d2, i2 = _top2(dist2)
     cur = float(d1.sum())
     best = cur
@@ -200,7 +210,7 @@ def kmeans_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
     centroids = nodes[rng.choice(len(nodes), size=m_cent, replace=False)].copy()
     labels = np.full(len(nodes), -1)
     for _ in range(KMEANS_MAX_ITER):
-        dist2 = cdist(nodes, centroids, "sqeuclidean")
+        dist2 = sq_dist(nodes, centroids)
         new_labels = dist2.argmin(axis=1)
         if np.array_equal(new_labels, labels):
             break
@@ -229,7 +239,7 @@ def snr_proxy(nodes: np.ndarray, users_xy: np.ndarray, priority_mask: np.ndarray
     p = ChannelParams.from_config(cfg)
     _, loss_db = link_matrix(nodes, cfg.altitude_m, users_xy, p)  # (K, N0)
     w = np.where(priority_mask, cfg.mu_pr, cfg.mu_nr)
-    return w @ np.power(10.0, -loss_db / 10.0)
+    return w @ db_to_linear(-loss_db)
 
 
 def snrp_condense(nodes: np.ndarray, users_xy: np.ndarray, priority_mask: np.ndarray,
@@ -272,7 +282,7 @@ def build_adjacency(centroids: np.ndarray, cfg: ScenarioConfig, method: str = ""
     bridge when union-find still holds its ends apart.
     """
     m = len(centroids)
-    d2 = cdist(centroids, centroids, "sqeuclidean")
+    d2 = sq_dist(centroids, centroids)
     adj = d2 <= cfg.move_radius_m() ** 2
     iu, ju = np.triu_indices(m, 1)             # upper triangle, row-major
     pair_d2 = d2[iu, ju]

@@ -5,13 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.vq import kmeans2, vq
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from absim.condense import (accept, build_adjacency, distortion, kmeans_condense,
-                            qa_condense, snr_proxy, snrp_condense)
+                            qa_condense, snr_proxy, snrp_condense, sq_dist)
 from absim.scenario import drop_users, generate_candidates, rng_stream
 from helpers import greedy_bridge_adjacency, mk_cfg, neighbors, propose, snrp_picks
 
@@ -20,6 +20,27 @@ def test_distortion_hand_values():
     v = np.array([[0.0, 0.0], [2.0, 0.0]])
     assert distortion(v, np.array([[1.0, 0.0]])) == pytest.approx(2.0)
     assert distortion(v, v) == 0.0
+
+
+POINTS = st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+                  min_size=1, max_size=50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(POINTS, POINTS, st.integers(0, 50))
+@example([(0.0, 0.0)], [(0.0, 0.0)], 1)
+@example([(1e4, -1e4)], [(0.1 * i, -9999.9) for i in range(50)], 0)
+@example([(0.1 * i, 3.3) for i in range(50)], [(-1e4, 1e4)], 1)
+def test_sq_dist_equals_cdist_bit_for_bit(a, b, n_repeat):
+    # b's first points repeat a's: those entries must be an exact 0
+    a, b = np.array(a), np.array(b)
+    k = min(n_repeat, len(a), len(b))
+    b[:k] = a[:k]
+    ours = sq_dist(a, b)
+    assert ours.shape == (len(a), len(b))
+    np.testing.assert_array_equal(ours.view(np.int64),
+                                  cdist(a, b, "sqeuclidean").view(np.int64))
+    assert (ours[np.arange(k), np.arange(k)] == 0.0).all()
 
 
 def test_distortion_empty_centroids_errors():
@@ -167,7 +188,8 @@ def test_kmeans_quality_against_sklearn():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_kmeans_quality_against_scipy_kmeans2(seed):
-    # the same band as the sklearn oracle, from scipy, which is always there
+    # the same band as the sklearn oracle, from scipy, which runs wherever
+    # the test extra is installed
     cfg = mk_cfg(n_candidates=200, n_centroids=12, seed=seed)
     nodes = generate_candidates(cfg)
     ours = min(kmeans_condense(nodes, dataclasses.replace(cfg, seed=s)).distortion

@@ -1,8 +1,12 @@
-"""Every module under src/, tests/ and demos/ uses each name it imports, and
-every module-level def or class in src/ has a caller in src/ or perfbench/."""
+"""Every module under src/, tests/ and demos/ uses each name it imports,
+every module-level def or class in src/ has a caller in src/ or perfbench/,
+and importing absim loads neither scipy nor scikit-learn."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -88,3 +92,13 @@ def test_every_src_definition_has_a_production_caller():
     # test-only helpers live in tests/, not src/
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PRODUCTION}
     assert [(p, name) for p, name in uncalled_definitions(sources) if p.startswith("src")] == []
+
+
+def test_absim_runs_on_numpy_alone():
+    # scipy and scikit-learn are test-only oracles; the cli reaches every module
+    probe = ("import sys, absim.cli; "
+             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'sklearn'}))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
