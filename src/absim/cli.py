@@ -11,6 +11,7 @@ runtime failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -158,12 +159,12 @@ def cmd_evaluate(args) -> int:
     cfg = _load(args)
     if not os.path.isfile(args.qtable):
         raise ConfigError(f"Q-table snapshot missing or not a file: {args.qtable}")
-    out = _outdir(args, cfg)
     world, _ = build_world(cfg, args.method)
     try:
         qtables = load_qtables(args.qtable, world.graph, cfg.n_uav)
     except ValueError as exc:
         raise ConfigError(f"Q-table snapshot does not match this config: {exc}")
+    out = _outdir(args, cfg)
     ev = evaluate_policy(world, qtables)
     _write_json(os.path.join(out, "evaluation.json"),
                 {"outage": ev.outage, "mean_rate_bps": ev.mean_rate_bps, "audit": ev.audit})
@@ -174,6 +175,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
+    for mu in args.mu:      # each value's config, checked before --out is made
+        dataclasses.replace(cfg, mu_pr=mu).validate()
     out = _outdir(args, cfg)
     rows = sweep_mu(cfg, args.mu, n_seeds=args.seeds, method=args.method)
     write_sweep_csv(os.path.join(out, "sweep.csv"), rows)

@@ -33,11 +33,12 @@ KMEANS_MAX_ITER = 200
 
 @dataclass
 class CondensedGraph:
-    """M waypoint centroids plus the slot-reachability graph over them."""
+    """M waypoint centroids plus the slot-reachability graph over them:
+    adj and its symmetric mask of virtual bridges; edges derives from both."""
 
     centroids: np.ndarray        # (M, 2)
     adj: np.ndarray              # (M, M) bool, s -> a in one slot: the action set
-    edges: list                  # (src, dst, virtual) with src < dst
+    virtual: np.ndarray          # (M, M) bool, symmetric: the bridges among adj
     method: str
     distortion: float            # final clustering distortion vs candidates
     init_distortion: float | None = None
@@ -46,6 +47,12 @@ class CondensedGraph:
     @property
     def n_centroids(self) -> int:
         return len(self.centroids)
+
+    @property
+    def edges(self) -> list:
+        """(src, dst, virtual) per edge of adj with src < dst, row-major."""
+        iu, ju = np.nonzero(np.triu(self.adj, 1))
+        return list(zip(iu.tolist(), ju.tolist(), self.virtual[iu, ju].tolist()))
 
 
 def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,21 +281,19 @@ def build_adjacency(centroids: np.ndarray, cfg: ScenarioConfig, method: str = ""
     """Radius graph over centroids: edge iff reachable in one slot.
 
     adj holds every move: the hover (d = 0), each pair with d^2 <= r^2 and
-    the virtual bridges. If the graph is disconnected,
-    minimum-length bridges join the closest component pair until one
-    component remains; those edges are flagged virtual. That greedy rule is
-    Kruskal's algorithm (Kruskal 1956) on the components: pairs are taken
-    in order of (squared distance, row-major index) and one becomes a
-    bridge when union-find still holds its ends apart.
+    the virtual bridges, which join a disconnected graph into one component.
+    They come from Kruskal's algorithm (Kruskal 1956) over all pairs: pairs
+    are taken in order of (squared distance, row-major index), each joins
+    two components when union-find still holds its ends apart, and a
+    joining pair beyond the radius is a bridge. Within-radius pairs all sort
+    first, so each bridge is the shortest pair between two components.
     """
     m = len(centroids)
     d2 = sq_dist(centroids, centroids)
     adj = d2 <= cfg.move_radius_m() ** 2
+    virtual = np.zeros_like(adj)
     iu, ju = np.triu_indices(m, 1)             # upper triangle, row-major
-    pair_d2 = d2[iu, ju]
-    near = adj[iu, ju]
-    edges = [(i, j, False) for i, j in zip(iu[near].tolist(), ju[near].tolist())]
-
+    order = np.argsort(d2[iu, ju], kind="stable")
     parent = list(range(m))
 
     def root(i):
@@ -297,24 +302,15 @@ def build_adjacency(centroids: np.ndarray, cfg: ScenarioConfig, method: str = ""
             i = parent[i]
         return i
 
-    def union(i, j) -> bool:
-        ri, rj = root(i), root(j)
-        parent[rj] = ri
-        return ri != rj
-
     n_comp = m
-    for i, j, _ in edges:
-        n_comp -= union(i, j)
-    if n_comp > 1:
-        comp = np.array([root(i) for i in range(m)])
-        cross = comp[iu] != comp[ju]
-        order = np.argsort(pair_d2[cross], kind="stable")
-        for i, j in zip(iu[cross][order].tolist(), ju[cross][order].tolist()):
-            if union(i, j):
-                edges.append((i, j, True))
-                adj[i, j] = adj[j, i] = True
-                n_comp -= 1
-                if n_comp == 1:
-                    break
-    return CondensedGraph(centroids=centroids, adj=adj, edges=sorted(edges),
+    for i, j in zip(iu[order].tolist(), ju[order].tolist()):
+        if n_comp == 1:
+            break
+        ri, rj = root(i), root(j)
+        if ri != rj:
+            parent[rj] = ri
+            n_comp -= 1
+            if not adj[i, j]:
+                adj[i, j] = adj[j, i] = virtual[i, j] = virtual[j, i] = True
+    return CondensedGraph(centroids=centroids, adj=adj, virtual=virtual,
                           method=method, distortion=dist)

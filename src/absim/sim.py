@@ -65,18 +65,16 @@ EVAL_ROWS = 4
 class World:
     """Static scenario plus the condensed graph one run operates on.
 
-    Users never move and UAVs only ever sit on centroids, so the large-scale
-    loss of every link a slot can use, and the legality of every move, are
-    tables built once; a slot only gathers from them. The learner's moves
-    are graph.adj.
+    Users never move and UAVs only ever sit on centroids, so the tables a
+    slot reads, the large-scale loss of every link it can use and the
+    legality of every move, are built once, by Lockstep. The learner's
+    moves are graph.adj.
     """
 
     cfg: ScenarioConfig
     users_xy: np.ndarray
     priority_mask: np.ndarray
     graph: CondensedGraph
-    loss_db: np.ndarray       # (n_users, M) large-scale loss to every centroid
-    move_ok: np.ndarray       # (M, M) bool, within one slot's flight or virtual
 
 
 def condense_graph(method: str, nodes: np.ndarray, users_xy: np.ndarray,
@@ -90,45 +88,27 @@ def condense_graph(method: str, nodes: np.ndarray, users_xy: np.ndarray,
     raise ValueError(f"unknown condensation method: {method!r}")
 
 
-def make_world(cfg: ScenarioConfig, users_xy: np.ndarray, priority_mask: np.ndarray,
-               graph: CondensedGraph) -> World:
-    """Precompute the loss table and the move audit's distance table.
-
-    move_ok comes from raw centroid distances and the virtual edges, not
-    from graph.adj, so the audit stays an independent check of the graph.
-    """
-    _, loss_db = link_matrix(graph.centroids, cfg.altitude_m, users_xy,
-                             ChannelParams.from_config(cfg))
-    dist = np.linalg.norm(graph.centroids[:, None, :] - graph.centroids[None, :, :], axis=2)
-    move_ok = dist <= cfg.move_radius_m() + 1e-9
-    for i, j, virt in graph.edges:
-        if virt:
-            move_ok[i, j] = move_ok[j, i] = True
-    return World(cfg=cfg, users_xy=users_xy, priority_mask=priority_mask, graph=graph,
-                 loss_db=loss_db, move_ok=move_ok)
-
-
 def build_world(cfg: ScenarioConfig, method: str) -> tuple[World, float]:
-    """Drop users, condense the candidate set, precompute the world's tables."""
+    """Drop users and condense the candidate set."""
     users_xy, priority_mask = drop_users(cfg)
     nodes = generate_candidates(cfg)
     t0 = time.perf_counter()
     graph = condense_graph(method, nodes, users_xy, priority_mask, cfg)
     condense_time = time.perf_counter() - t0
-    return make_world(cfg, users_xy, priority_mask, graph), condense_time
+    return World(cfg, users_xy, priority_mask, graph), condense_time
 
 
 class Lockstep:
     """Worlds stepped slot by slot together, one row each.
 
-    Every row's tables are stacked along a leading row axis, one copy per
-    row even where rows hold the same world (jobs sharing a condensation,
-    stacked evaluation episodes). Every slot stage is one call for all
-    rows; the link tables are built once, from the stacked losses. The
-    worlds must agree on every config field but WORLD_FIELDS, which gives
-    them the same array shapes and the same epsilon schedule. Each row
-    keeps its own RNG streams, so its results are those of running it
-    alone.
+    It builds every table a slot and the move audit read (each row's loss
+    to every centroid, the link, move and audit tables), stacked along a
+    leading row axis, one copy per row even where rows hold the same world
+    (jobs sharing a condensation, stacked evaluation episodes). Every slot
+    stage is one call for all rows. The worlds must agree on every config
+    field but WORLD_FIELDS, which gives them the same array shapes and the
+    same epsilon schedule. Each row keeps its own RNG streams, so its
+    results are those of running it alone.
     """
 
     def __init__(self, worlds: list):
@@ -141,14 +121,20 @@ class Lockstep:
         m = worlds[0].graph.n_centroids
         self.worlds = worlds
         self.cfg = cfg
-        self.links = link_tables(np.stack([w.loss_db for w in worlds]), cfg)
+        p = ChannelParams.from_config(cfg)
+        self.links = link_tables(np.stack([
+            link_matrix(w.graph.centroids, cfg.altitude_m, w.users_xy, p)[1] for w in worlds]), cfg)
         self.outage_keys = outage_keys(np.stack([w.priority_mask for w in worlds]), cfg.n_uav)
         self.adj = np.stack([w.graph.adj for w in worlds])
         self.moves, self.n_moves = move_table(self.adj)
         # [row, s, a] audit bits of a move: 1 no edge, 2 beyond one slot's
-        # flight; column M stands for every target off the graph (bit 4)
+        # flight by raw distance and no virtual bridge, decided apart from
+        # adj; column M stands for every target off the graph (bit 4)
+        cents = np.stack([w.graph.centroids for w in worlds])
+        dist = np.linalg.norm(cents[:, :, None, :] - cents[:, None, :, :], axis=-1)
+        flight = (dist <= cfg.move_radius_m() + 1e-9) | np.stack([w.graph.virtual for w in worlds])
         self.move_flags = np.full((len(worlds), m, m + 1), 4, dtype=np.uint8)
-        self.move_flags[:, :, :m] = ~self.adj + 2 * ~np.stack([w.move_ok for w in worlds])
+        self.move_flags[:, :, :m] = ~self.adj + 2 * ~flight
         self.p_cap_w = dbm_to_watt(cfg.p_max_dbm) * (1.0 + 1e-12)
         self.mu_pr = np.array([[w.cfg.mu_pr] for w in worlds])
         self.mu_nr = np.array([[w.cfg.mu_nr] for w in worlds])
@@ -371,8 +357,8 @@ def train_lockstep(jobs: list) -> list:
         cfg.validate()
     condensed, worlds, condense_times = {}, [], []
     for cfg, method in jobs:
-        # a world's users, graph and tables do not depend on the reward
-        # weights, except under snrp, whose proxy weighs users by them
+        # a world's users and graph do not depend on the reward weights,
+        # except under snrp, whose proxy weighs users by them
         key = (cfg if method == "snrp" else dataclasses.replace(cfg, mu_pr=1.0, mu_nr=1.0),
                method)
         if key not in condensed:
@@ -438,13 +424,12 @@ def train(cfg: ScenarioConfig, method: str = "qa") -> TrainResult:
     return train_lockstep([(cfg, method)])[0]
 
 
-def compare_methods(cfg: ScenarioConfig, n_seeds: int,
-                    methods: tuple = METHODS) -> dict:
+def compare_methods(cfg: ScenarioConfig, n_seeds: int) -> dict:
     """Full train+evaluate per (method, seed), all in lockstep; seeds are
     cfg.seed + i."""
     runs = iter(train_lockstep([(dataclasses.replace(cfg, seed=cfg.seed + i), m)
-                                for m in methods for i in range(n_seeds)]))
-    return {m: [next(runs) for _ in range(n_seeds)] for m in methods}
+                                for m in METHODS for i in range(n_seeds)]))
+    return {m: [next(runs) for _ in range(n_seeds)] for m in METHODS}
 
 
 def sweep_mu(cfg: ScenarioConfig, mu_values: list, n_seeds: int = 1,

@@ -221,6 +221,7 @@ def test_evaluate_rejects_mismatched_snapshot(tiny_config, tmp_path, capsys):
                  "--qtable", str(out / "qtable.csv"),
                  "--out", str(tmp_path / "o2")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
 
 
 def test_evaluate_rejects_non_finite_snapshot(tiny_config, tmp_path, capsys):
@@ -233,6 +234,7 @@ def test_evaluate_rejects_non_finite_snapshot(tiny_config, tmp_path, capsys):
     assert main(["evaluate", "--config", tiny_config, "--qtable", str(qtable),
                  "--out", str(tmp_path / "o")]) == 2
     assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_row_count(tiny_config, tmp_path, capsys):
@@ -257,7 +259,7 @@ def test_sweep_rejects_invalid_mu_value(tiny_config, tmp_path, capsys, mu):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", tiny_config, f"--mu={mu}", "--out", str(out)]) == 2
     assert "mu_pr" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,seeds", [("compare", "0"), ("sweep", "-1"),

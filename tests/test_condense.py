@@ -13,6 +13,7 @@ from scipy.spatial.distance import cdist, pdist
 from absim.condense import (accept, build_adjacency, distortion, kmeans_condense,
                             qa_condense, snr_proxy, snrp_condense, sq_dist)
 from absim.scenario import drop_users, generate_candidates, rng_stream
+from absim.sim import METHODS, train_lockstep
 from helpers import greedy_bridge_adjacency, mk_cfg, neighbors, propose, snrp_picks
 
 
@@ -324,6 +325,24 @@ def test_adjacency_matches_greedy_bridging_over_seeds(method):
         _assert_matches_greedy_reference(graph, cfg)
         bridged += any(v for _, _, v in graph.edges)
     assert bridged >= 40
+
+
+def test_virtual_mask_holds_exactly_the_bridges():
+    # M = 33 on the reference area: radius edges and bridges in every graph
+    cfg = mk_cfg(n_centroids=33, episodes=1, slots_per_episode=2, eval_episodes=1)
+    jobs = [(dataclasses.replace(cfg, seed=seed), method)
+            for method in METHODS for seed in range(6)]
+    mixed = 0
+    for res in train_lockstep(jobs):
+        graph = res.world.graph
+        virt = graph.virtual
+        within = sq_dist(graph.centroids, graph.centroids) <= cfg.move_radius_m() ** 2
+        assert (virt == virt.T).all() and not virt.diagonal().any()
+        assert not (virt & ~graph.adj).any() and not (virt & within).any()
+        assert (graph.adj == within | virt).all()
+        assert np.triu(virt).sum() == res.report.n_virtual_edges
+        mixed += bool(virt.any()) and bool((graph.adj & ~virt).sum() > len(virt))
+    assert mixed >= 15
 
 
 @pytest.mark.parametrize("spacing,shape", [(300.0, (3, 3)), (260.0, (4, 2)),

@@ -15,7 +15,7 @@ from absim.radio import dbm_to_watt
 from absim.rl import masked
 from absim.scenario import config_hash
 from absim.sim import (AUDIT_KEYS, METHODS, Lockstep, _audit_moves, build_world,
-                       compare_methods, condense_graph, evaluate_policy, make_world,
+                       compare_methods, condense_graph, evaluate_policy, World,
                        report_to_dict, run_dir, run_episode, start_states, sweep_mu, train,
                        train_lockstep,
                        write_centroids_csv, write_compare_learning_curves_csv,
@@ -36,24 +36,29 @@ def test_build_world_wiring():
     m = cfg.n_centroids
     for s in range(world.graph.n_centroids):
         assert world.graph.adj[s].sum() >= 1
-    assert world.loss_db.shape == (cfg.n_users, m)
-    assert world.graph.adj.shape == world.move_ok.shape == (m, m)
-    assert world.graph.adj.diagonal().all() and world.move_ok.diagonal().all()
+    batch = Lockstep([world])
+    assert batch.links.loss_db.shape == (1, cfg.n_users, m)
+    assert world.graph.adj.shape == world.graph.virtual.shape == (m, m)
+    assert batch.move_flags.shape == (1, m, m + 1)
+    # hovering is always a legal move, and every target off the graph is flagged
+    assert world.graph.adj.diagonal().all() and not batch.move_flags[0].diagonal().any()
+    assert (batch.move_flags[0, :, m] == 4).all()
 
 
 @pytest.fixture(scope="module")
 def small_world():
-    return build_world(mk_cfg(), "kmeans")[0]
+    world = build_world(mk_cfg(), "kmeans")[0]
+    return world, Lockstep([world]).links.loss_db[0]
 
 
 @settings(max_examples=200, deadline=None)
 @given(states=st.lists(st.integers(0, mk_cfg().n_centroids - 1), min_size=1, max_size=6))
 def test_loss_table_gather_equals_link_matrix(small_world, states):
     # repeated centroids included: two UAVs may share a waypoint
-    w = small_world
+    w, loss_db = small_world
     _, want = link_matrix(w.graph.centroids[states], w.cfg.altitude_m, w.users_xy,
                           ChannelParams.from_config(w.cfg))
-    got = w.loss_db[:, states]
+    got = loss_db[:, states]
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -96,14 +101,15 @@ def _bridged_chain_world(cfg):
     assert cfg.move_radius_m() == 250.0
     cents = np.array([[0.0, 0.0], [120.0, 0.0], [240.0, 0.0],
                       [3000.0, 0.0], [3400.0, 0.0]])
-    edges = [(0, 1, False), (1, 2, False), (2, 3, True), (3, 4, False)]
     adj = np.eye(5, dtype=bool)
-    for i, j, _ in edges:
+    virtual = np.zeros((5, 5), dtype=bool)
+    for i, j, virt in [(0, 1, False), (1, 2, False), (2, 3, True), (3, 4, False)]:
         adj[i, j] = adj[j, i] = True
-    graph = CondensedGraph(centroids=cents, adj=adj, edges=edges,
+        virtual[i, j] = virtual[j, i] = virt
+    graph = CondensedGraph(centroids=cents, adj=adj, virtual=virtual,
                            method="hand", distortion=0.0)
     users_xy = np.array([[10.0, 5.0], [3100.0, 20.0]])
-    return make_world(cfg, users_xy, np.array([True, False]), graph)
+    return World(cfg, users_xy, np.array([True, False]), graph)
 
 
 def test_audit_moves_counts_each_violation():
