@@ -10,7 +10,9 @@ Three interchangeable condensers:
                    proxy, subject to a pairwise separation floor
 
 All three optimize or heuristically cover the same candidate cloud; they are
-compared by what the trajectory learner achieves on their graphs.
+compared by what the trajectory learner achieves on their graphs. Each takes
+the candidates BLOCK rows at a time and holds no candidate x centroid matrix,
+only O(N + BLOCK*M) floats, plus snrp's one (n_users, N) gain matrix.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .radio import db_to_linear
 STOP_WINDOW = 50
 STOP_TOL = 1e-6
 KMEANS_MAX_ITER = 200
+BLOCK = 256  # candidate rows per distance block; no output depends on it
 
 
 @dataclass
@@ -65,9 +68,19 @@ def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dx
 
 
+def _nearest(nodes: np.ndarray, centroids: np.ndarray):
+    """Per candidate: squared distance to, and index of, the nearest centroid."""
+    d_own, labels = np.empty(len(nodes)), np.empty(len(nodes), dtype=np.intp)
+    for s in range(0, len(nodes), BLOCK):
+        dist2 = sq_dist(nodes[s:s + BLOCK], centroids)
+        labels[s:s + BLOCK] = dist2.argmin(axis=1)
+        d_own[s:s + BLOCK] = dist2.min(axis=1)
+    return d_own, labels
+
+
 def distortion(nodes: np.ndarray, centroids: np.ndarray) -> float:
     """Sum over candidates of squared distance to the nearest centroid."""
-    return float(sq_dist(nodes, centroids).min(axis=1).sum())
+    return float(_nearest(nodes, centroids)[0].sum())
 
 
 def _draw_move(centroids, nodes, rng, cfg) -> tuple[int, np.ndarray]:
@@ -93,29 +106,30 @@ def accept(delta: float, temperature: float, rng: np.random.Generator) -> bool:
     return rng.random() < math.exp(arg)
 
 
-def _top2(dist2: np.ndarray):
-    """Per row: the two smallest entries and their columns, nearest first."""
-    n0, m = dist2.shape
-    if m == 1:
-        zeros = np.zeros(n0, dtype=np.intp)
-        return dist2[:, 0].copy(), zeros, np.full(n0, np.inf), zeros.copy()
-    idx = np.argpartition(dist2, 1, axis=1)[:, :2]
-    vals = np.take_along_axis(dist2, idx, axis=1)
-    swap = vals[:, 0] > vals[:, 1]
-    d1 = np.where(swap, vals[:, 1], vals[:, 0])
-    i1 = np.where(swap, idx[:, 1], idx[:, 0])
-    d2 = np.where(swap, vals[:, 0], vals[:, 1])
-    i2 = np.where(swap, idx[:, 0], idx[:, 1])
-    return d1, i1, d2, i2
+def _rescan(nodes, centroids, rows, d1, i1, d2, i2):
+    """Recompute the top-2 cache of the given rows, BLOCK rows at a time: the
+    two smallest squared distances and their centroids, nearest first."""
+    for s in range(0, len(rows), BLOCK):
+        r = rows[s:s + BLOCK]
+        dist2 = sq_dist(nodes[r], centroids)
+        if len(centroids) == 1:
+            d1[r], i1[r], d2[r], i2[r] = dist2[:, 0], 0, np.inf, 0
+            continue
+        idx = np.argpartition(dist2, 1, axis=1)[:, :2]
+        vals = np.take_along_axis(dist2, idx, axis=1)
+        swap = vals[:, 0] > vals[:, 1]
+        d1[r] = np.where(swap, vals[:, 1], vals[:, 0])
+        i1[r] = np.where(swap, idx[:, 1], idx[:, 0])
+        d2[r] = np.where(swap, vals[:, 0], vals[:, 1])
+        i2[r] = np.where(swap, idx[:, 0], idx[:, 1])
 
 
-def _apply_move(dist2, d1, i1, d2, i2, m, col, served):
-    """Commit an accepted move of centroid m, keeping the top-2 cache exact.
+def _apply_move(nodes, centroids, d1, i1, d2, i2, m, col, served):
+    """Commit centroid m's accepted move to col, keeping the top-2 cache exact.
 
-    Rows that held m in their top two must rescan; every other row can only
-    gain m as a closer option, which is a pure vector update.
+    Rows that held m in their top two rescan the moved centroids; every other
+    row can only gain m as a closer option, which is a pure vector update.
     """
-    dist2[:, m] = col
     stale = served | (i2 == m)
     fresh = ~stale
     up1 = fresh & (col < d1)
@@ -126,9 +140,7 @@ def _apply_move(dist2, d1, i1, d2, i2, m, col, served):
     d2[up1] = d1[up1]
     i1[up1] = m
     d1[up1] = col[up1]
-    rows = np.flatnonzero(stale)
-    if rows.size:
-        d1[rows], i1[rows], d2[rows], i2[rows] = _top2(dist2[rows])
+    _rescan(nodes, centroids, np.flatnonzero(stale), d1, i1, d2, i2)
 
 
 def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
@@ -136,20 +148,20 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
 
     Each temperature step runs cfg.proposals_per_temp single-centroid
     proposals (default: one sweep of M) and then cools T by anneal_rho.
-    Distortion deltas are exact but evaluated incrementally: alongside the
-    candidate-to-centroid distance matrix we cache each candidate's two
-    nearest centroids, so a trial costs a handful of flat vector passes
-    and per-row rescans happen only when a move is accepted. The graph's
-    trace holds, per temperature step, the temperature after cooling, the
-    current and best distortion and the running count of accepted moves.
+    Distortion deltas are exact but incremental: no distance matrix, only a
+    cache of each candidate's two nearest centroids, so a trial costs a few
+    flat vector passes and an accepted move recomputes the distances (the
+    same floats) of just the rows it made stale. The graph's trace holds,
+    per temperature step, the temperature after cooling, the current and
+    best distortion and the running count of accepted moves.
     """
     rng = rng_stream(cfg.seed, "condense")
     m_cent = cfg.n_centroids
     n0 = len(nodes)
     centroids = nodes[rng.choice(n0, size=m_cent, replace=False)].copy()
 
-    dist2 = sq_dist(nodes, centroids)   # (n0, M), kept current
-    d1, i1, d2, i2 = _top2(dist2)
+    d1, i1, d2, i2 = (np.empty(n0, t) for t in (float, np.intp, float, np.intp))
+    _rescan(nodes, centroids, np.arange(n0), d1, i1, d2, i2)
     cur = float(d1.sum())
     best = cur
     best_c = centroids.copy()
@@ -183,9 +195,9 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
             np.minimum(base, col, out=base)
             trial = float(base.sum())
             if accept(trial - cur, temp, rng):
-                _apply_move(dist2, d1, i1, d2, i2, m, col, served)
-                cur = trial
                 centroids[m] = new
+                _apply_move(nodes, centroids, d1, i1, d2, i2, m, col, served)
+                cur = trial
                 n_acc += 1
                 if cur < best:
                     best = cur
@@ -217,12 +229,10 @@ def kmeans_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
     centroids = nodes[rng.choice(len(nodes), size=m_cent, replace=False)].copy()
     labels = np.full(len(nodes), -1)
     for _ in range(KMEANS_MAX_ITER):
-        dist2 = sq_dist(nodes, centroids)
-        new_labels = dist2.argmin(axis=1)
+        d_own, new_labels = _nearest(nodes, centroids)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        d_own = dist2[np.arange(len(nodes)), labels]
         for j in range(m_cent):
             sel = labels == j
             if sel.any():
@@ -244,9 +254,12 @@ def snr_proxy(nodes: np.ndarray, users_xy: np.ndarray, priority_mask: np.ndarray
     Fading is left out (set to its unit mean); weights are mu_pr / mu_nr.
     """
     p = ChannelParams.from_config(cfg)
-    _, loss_db = link_matrix(nodes, cfg.altitude_m, users_xy, p)  # (K, N0)
+    gain = np.empty((len(users_xy), len(nodes)))  # (K, N0)
+    for s in range(0, len(nodes), BLOCK):
+        _, loss_db = link_matrix(nodes[s:s + BLOCK], cfg.altitude_m, users_xy, p)
+        gain[:, s:s + BLOCK] = db_to_linear(-loss_db)
     w = np.where(priority_mask, cfg.mu_pr, cfg.mu_nr)
-    return w @ db_to_linear(-loss_db)
+    return w @ gain  # one product: per-block products round differently
 
 
 def snrp_condense(nodes: np.ndarray, users_xy: np.ndarray, priority_mask: np.ndarray,

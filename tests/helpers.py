@@ -8,7 +8,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from absim import sim
-from absim.condense import _draw_move, snr_proxy
+from absim.channel import ChannelParams, link_matrix
+from absim.condense import _draw_move, snr_proxy, sq_dist
 from absim.radio import dbm_to_watt, db_to_linear
 from absim.rl import masked, td_update
 from absim.scenario import ScenarioConfig
@@ -186,6 +187,19 @@ def propose(centroids, nodes, rng, cfg):
     out = centroids.copy()
     out[m] = new
     return out
+
+
+def distortion_one_shot(nodes, centroids) -> float:
+    """condense.distortion from one (N, M) distance matrix, no blocks."""
+    return float(sq_dist(nodes, centroids).min(axis=1).sum())
+
+
+def snr_proxy_one_shot(nodes, users_xy, priority_mask, cfg) -> np.ndarray:
+    """condense.snr_proxy from one (K, N) loss matrix, no blocks."""
+    _, loss_db = link_matrix(nodes, cfg.altitude_m, users_xy,
+                             ChannelParams.from_config(cfg))
+    w = np.where(priority_mask, cfg.mu_pr, cfg.mu_nr)
+    return w @ db_to_linear(-loss_db)
 
 
 def snrp_picks(nodes, users_xy, priority_mask, cfg) -> list:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,16 @@ from hypothesis import strategies as st
 from scipy.cluster.vq import kmeans2, vq
 from scipy.spatial.distance import cdist, pdist
 
-from absim.condense import (accept, build_adjacency, distortion, kmeans_condense,
+from absim import condense
+from absim.condense import (BLOCK, accept, build_adjacency, distortion, kmeans_condense,
                             qa_condense, snr_proxy, snrp_condense, sq_dist)
 from absim.scenario import drop_users, generate_candidates, rng_stream
 from absim.sim import METHODS, train_lockstep
-from helpers import greedy_bridge_adjacency, mk_cfg, neighbors, propose, snrp_picks
+from helpers import (distortion_one_shot, greedy_bridge_adjacency, mk_cfg, neighbors,
+                     propose, snr_proxy_one_shot, snrp_picks)
+
+# the condense-wide benchmark workload's size: N = 3600, M = 120, K = 100
+WIDE = dict(x_max=2800.0, y_max=2800.0, n_users=100, n_candidates=3600, n_centroids=120)
 
 
 def test_distortion_hand_values():
@@ -47,6 +53,71 @@ def test_sq_dist_equals_cdist_bit_for_bit(a, b, n_repeat):
 def test_distortion_empty_centroids_errors():
     with pytest.raises(ValueError):
         distortion(np.array([[0.0, 0.0]]), np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3600])
+def test_blocked_distortion_and_proxy_equal_one_shot_forms(n):
+    cfg = mk_cfg(**WIDE)
+    rng = np.random.default_rng(n)
+    nodes = rng.uniform(0.0, 2800.0, (n, 2))
+    centroids = rng.uniform(0.0, 2800.0, (cfg.n_centroids, 2))
+    xy, mask = drop_users(cfg)
+    assert distortion(nodes, centroids) == distortion_one_shot(nodes, centroids)
+    if n:
+        with pytest.raises(ValueError):
+            distortion(nodes, centroids[:0])
+    else:
+        assert distortion(nodes, centroids) == 0.0
+    got = snr_proxy(nodes, xy, mask, cfg)
+    assert got.shape == (n,)
+    assert got.tobytes() == snr_proxy_one_shot(nodes, xy, mask, cfg).tobytes()
+
+
+def _graph_bytes(graph) -> list:
+    trace = graph.trace or {}
+    return [graph.centroids.tobytes(), graph.adj.tobytes(), graph.virtual.tobytes(),
+            repr(graph.distortion), repr(graph.init_distortion),
+            *(trace[k].tobytes() for k in sorted(trace))]
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_condensers_do_not_depend_on_block(monkeypatch, block):
+    cfg = mk_cfg(n_candidates=300, n_centroids=9, anneal_i_max=30)
+    nodes = generate_candidates(cfg)
+    xy, mask = drop_users(cfg)
+    runs = [lambda: qa_condense(nodes, cfg), lambda: kmeans_condense(nodes, cfg),
+            lambda: snrp_condense(nodes, xy, mask, cfg)]
+    want = [_graph_bytes(run()) for run in runs]
+    monkeypatch.setattr(condense, "BLOCK", block)
+    assert [_graph_bytes(run()) for run in runs] == want
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that fn allocates beyond what was live when it started."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+def test_condensers_hold_no_candidate_by_centroid_matrix():
+    # one full float64 matrix is 3.3 MiB (N x M) or 2.7 MiB (K x N); with
+    # whole matrices the peaks were 6.8 (qa), 10.1 (kmeans), 6.7 (distortion)
+    # and 22.0 MiB (snr_proxy)
+    cfg = mk_cfg(**WIDE, anneal_i_max=3)
+    nodes = generate_candidates(cfg)
+    xy, mask = drop_users(cfg)
+    n_by_m = len(nodes) * cfg.n_centroids * 8
+    gain = len(xy) * len(nodes) * 8
+    centroids = nodes[:cfg.n_centroids].copy()
+    assert _traced_peak(lambda: qa_condense(nodes, cfg)) < n_by_m
+    assert _traced_peak(lambda: kmeans_condense(nodes, cfg)) < n_by_m
+    assert _traced_peak(lambda: distortion(nodes, centroids)) < n_by_m
+    assert _traced_peak(lambda: snr_proxy(nodes, xy, mask, cfg)) < 2 * gain
+    assert _traced_peak(lambda: snrp_condense(nodes, xy, mask, cfg)) < 2 * gain
 
 
 def test_distortion_matches_nested_loop():
@@ -146,15 +217,16 @@ def test_qa_trace_best_is_monotone():
     assert graph.trace["accepted"][-1] >= 1
 
 
-@pytest.mark.parametrize("n_centroids", [9, 1])
-def test_qa_incremental_distortion_bookkeeping_is_exact(n_centroids):
+@pytest.mark.parametrize("n_centroids,n_candidates", [(9, 100), (1, 100), (1, BLOCK + 44)],
+                         ids=["9", "1", "1-two-blocks"])
+def test_qa_incremental_distortion_bookkeeping_is_exact(n_centroids, n_candidates):
     # at M = 1 every candidate is served by the moved centroid, so every
-    # accepted move rescans all rows
-    cfg = mk_cfg(n_candidates=100, n_centroids=n_centroids, n_uav=1)
+    # accepted move rescans all rows, in two blocks at N = BLOCK + 44; the
+    # rescanned distances must be the very floats the trials summed
+    cfg = mk_cfg(n_candidates=n_candidates, n_centroids=n_centroids, n_uav=1)
     nodes = generate_candidates(cfg)
     graph = qa_condense(nodes, cfg)
-    assert graph.distortion == pytest.approx(
-        distortion(nodes, graph.centroids), rel=1e-9)
+    assert graph.distortion == distortion(nodes, graph.centroids)
 
 
 def test_kmeans_two_clusters():
@@ -254,8 +326,7 @@ NEAR_DUPLICATES = np.array([[0.0, 0.0], [0.0, 4e-10], [300.0, 0.0], [300.0, 300.
 @pytest.mark.parametrize("overrides,nodes,fill", [
     (dict(d_sep_m=0.0), None, False),
     (dict(n_centroids=10, d_sep_m=50_000.0), None, False),     # 22 relaxations
-    (dict(x_max=2800.0, y_max=2800.0, n_users=100, n_candidates=3600, n_centroids=120),
-     None, False),
+    (WIDE, None, False),
     (dict(n_centroids=len(NEAR_DUPLICATES)), NEAR_DUPLICATES, True),
 ], ids=["no-floor", "relaxed-floor", "condense-wide", "sub-1e-9-fill"])
 @pytest.mark.parametrize("seed", [0, 1])
