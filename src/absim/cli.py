@@ -126,10 +126,10 @@ def cmd_condense(args) -> int:
     write_timings_json(os.path.join(out, "timings.json"),
                        {"condense_s": condense_time,
                         "total_s": time.perf_counter() - t0})
-    n_virtual = sum(1 for _, _, v in world.graph.edges if v)
-    print(f"method={args.method} n_centroids={world.graph.n_centroids} "
-          f"distortion={world.graph.distortion:.6g} edges={len(world.graph.edges)} "
-          f"virtual={n_virtual} out={out}")
+    graph = world.graph
+    print(f"method={args.method} n_centroids={graph.n_centroids} "
+          f"distortion={graph.distortion:.6g} edges={np.count_nonzero(np.triu(graph.adj, 1))} "
+          f"virtual={np.count_nonzero(np.triu(graph.virtual, 1))} out={out}")
     return 0
 
 

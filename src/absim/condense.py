@@ -299,7 +299,8 @@ def build_adjacency(centroids: np.ndarray, cfg: ScenarioConfig, method: str = ""
     are taken in order of (squared distance, row-major index), each joins
     two components when union-find still holds its ends apart, and a
     joining pair beyond the radius is a bridge. Within-radius pairs all sort
-    first, so each bridge is the shortest pair between two components.
+    first, so each bridge is the shortest pair between two components. The
+    sorted pairs become Python ints M at a time, until one component is left.
     """
     m = len(centroids)
     d2 = sq_dist(centroids, centroids)
@@ -316,14 +317,15 @@ def build_adjacency(centroids: np.ndarray, cfg: ScenarioConfig, method: str = ""
         return i
 
     n_comp = m
-    for i, j in zip(iu[order].tolist(), ju[order].tolist()):
+    for s in range(0, len(order), m):
         if n_comp == 1:
             break
-        ri, rj = root(i), root(j)
-        if ri != rj:
-            parent[rj] = ri
-            n_comp -= 1
-            if not adj[i, j]:
-                adj[i, j] = adj[j, i] = virtual[i, j] = virtual[j, i] = True
+        for i, j in zip(iu[order[s:s + m]].tolist(), ju[order[s:s + m]].tolist()):
+            ri, rj = root(i), root(j)
+            if ri != rj:
+                parent[rj] = ri
+                n_comp -= 1
+                if not adj[i, j]:
+                    adj[i, j] = adj[j, i] = virtual[i, j] = virtual[j, i] = True
     return CondensedGraph(centroids=centroids, adj=adj, virtual=virtual,
                           method=method, distortion=dist)

@@ -211,7 +211,9 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     per row, are taken first; rows that share a fading stream (stacked
     evaluation episodes) thus take its episodes in row order. What no
     later slot reads is reduced once at the end: the users' rates, the
-    outage fractions, the move audit and the power-cap count.
+    outage fractions, the move audit, the power-cap count and each slot's
+    penalty total, its UAVs added left to right from +0.0 (np.add.accumulate;
+    np.sum's order is numpy's to choose), so an all -0.0 slot totals +0.0.
     """
     cfg = batch.cfg
     n_slots = cfg.slots_per_episode
@@ -222,7 +224,7 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     fading = np.empty((n_slots, len(batch)) + link_shape)
     for k, rng in enumerate(rng_fading):
         fading[:, k] = sample_fading(rng, (n_slots,) + link_shape)
-    # per row and slot, so each slot's users are summed as one contiguous row
+    # (S, slots, n_uav), so the slot totals come out in slots[:, 0]'s (S, slots) order
     rewards = np.empty((len(batch), n_slots, cfg.n_uav))
     counts = np.empty((len(batch), n_slots, 2, 2, cfg.n_uav), dtype=int)
     peak_power = np.empty((len(batch), n_slots))
@@ -241,9 +243,7 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     audit[:, _POWER] += np.count_nonzero(peak_power > batch.p_cap_w, axis=-1)
     # (S, columns, slots), so each mean reduces a contiguous row
     slots = np.empty((len(batch), len(EPISODE_COLUMNS), n_slots))
-    # built-in sum from int 0, left to right: np.sum would keep an all -0.0
-    # slot at -0.0 and change the report's bytes
-    slots[:, 0] = [[sum(r) for r in row] for row in rewards.tolist()]
+    slots[:, 0] = np.add.accumulate(rewards, axis=-1)[..., -1] + 0.0
     slots[:, 1:4] = outage_fractions(counts).transpose(0, 2, 1)
     slots[:, 4] = rate_bps(sinrs, cfg.bandwidth_hz, out=sinrs).sum(axis=-1) / cfg.n_users
     return slots.mean(axis=-1), traj
@@ -399,8 +399,8 @@ def train_lockstep(jobs: list) -> list:
             config=world.cfg.to_dict(),
             distortion=graph.distortion,
             init_distortion=graph.init_distortion,
-            n_edges=len(graph.edges),
-            n_virtual_edges=sum(1 for _, _, v in graph.edges if v),
+            n_edges=int(np.count_nonzero(np.triu(graph.adj, 1))),
+            n_virtual_edges=int(np.count_nonzero(np.triu(graph.virtual, 1))),
             reward_curve=rewards,
             eps_curve=list(eps_curve),
             train_outage_network=net,

@@ -16,8 +16,8 @@ from absim.condense import (BLOCK, accept, build_adjacency, distortion, kmeans_c
                             qa_condense, snr_proxy, snrp_condense, sq_dist)
 from absim.scenario import drop_users, generate_candidates, rng_stream
 from absim.sim import METHODS, train_lockstep
-from helpers import (distortion_one_shot, greedy_bridge_adjacency, mk_cfg, neighbors,
-                     propose, snr_proxy_one_shot, snrp_picks)
+from helpers import (build_adjacency_one_pass, distortion_one_shot, greedy_bridge_adjacency,
+                     mk_cfg, neighbors, propose, snr_proxy_one_shot, snrp_picks)
 
 # the condense-wide benchmark workload's size: N = 3600, M = 120, K = 100
 WIDE = dict(x_max=2800.0, y_max=2800.0, n_users=100, n_candidates=3600, n_centroids=120)
@@ -438,6 +438,30 @@ def test_adjacency_integer_clouds_match_greedy_bridging():
         n = int(rng.integers(2, 16))
         cents = 100.0 * rng.integers(0, 15, (n, 2))
         _assert_matches_greedy_reference(build_adjacency(cents, cfg), cfg)
+
+
+def test_adjacency_equals_one_pass_oracle():
+    # the sorted pairs are taken M at a time; random clouds and 100 m
+    # lattices (equal and zero distances) with M from 1 to 200
+    cfg = mk_cfg()
+    rng = np.random.default_rng(16)
+    sizes = [1, 2, 3, 200] + rng.integers(1, 201, 196).tolist()
+    for case, m in enumerate(sizes):
+        if case % 2:
+            cents = 100.0 * rng.integers(0, 1 + int(rng.integers(1, 30)), (m, 2))
+        else:
+            cents = rng.uniform(0, cfg.x_max * rng.uniform(0.2, 4.0), (m, 2))
+        graph = build_adjacency(cents, cfg)
+        adj, virtual = build_adjacency_one_pass(cents, cfg)
+        assert (graph.adj == adj).all() and (graph.virtual == virtual).all(), (case, m)
+
+
+def test_adjacency_holds_no_list_of_all_pairs():
+    # M = 480 (4x condense-wide) over a 5.6 km square: turning all 114,960
+    # sorted pairs into Python ints at once peaked at 10.7 MiB
+    cfg = mk_cfg()
+    cents = np.random.default_rng(0).uniform(0, 5600.0, (480, 2))
+    assert _traced_peak(lambda: build_adjacency(cents, cfg)) < 7 * 2 ** 20
 
 
 def _connected(graph):

@@ -1,17 +1,22 @@
 """report.json bytes pinned at unit-test size, the regression oracle for refactors.
 
-Transcendental ufuncs may change between numpy releases, so the digests bind
-only under the numpy version they were recorded with; under any other the
-test skips and names both versions.
+A report's bytes depend on its config, its seed and the numpy version, on
+any Python from 3.10: no report total goes through the built-in sum(),
+which CPython 3.12 made compensated. The goldens are checked again with
+that sum() emulated. Transcendental ufuncs may change between numpy
+releases, so the digests bind only under the numpy version they were
+recorded with; under any other the tests skip and name both versions.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from absim import sim
 from absim.sim import train, write_report_json
-from helpers import mk_cfg
+from helpers import mk_cfg, py312_sum
 
 DIGESTS_NUMPY = "2.4.6"
 
@@ -50,13 +55,40 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.skipif(np.__version__ != DIGESTS_NUMPY,
-                    reason=f"golden digests recorded under numpy {DIGESTS_NUMPY}, "
-                           f"running numpy {np.__version__}")
-@pytest.mark.parametrize("method,overrides,digest", GOLDEN,
-                         ids=[f"{m}-" + "-".join(f"{k}={v}" for k, v in o.items())
-                              for m, o, _ in GOLDEN])
-def test_report_bytes_match_golden(method, overrides, digest, tmp_path):
+pinned_numpy = pytest.mark.skipif(
+    np.__version__ != DIGESTS_NUMPY,
+    reason=f"golden digests recorded under numpy {DIGESTS_NUMPY}, running numpy {np.__version__}")
+each_golden = pytest.mark.parametrize(
+    "method,overrides,digest", GOLDEN,
+    ids=[f"{m}-" + "-".join(f"{k}={v}" for k, v in o.items()) for m, o, _ in GOLDEN])
+
+
+def _report_digest(method, overrides, tmp_path) -> str:
     path = tmp_path / "report.json"
     write_report_json(path, train(mk_cfg(**overrides), method).report)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pinned_numpy
+@each_golden
+def test_report_bytes_match_golden(method, overrides, digest, tmp_path):
+    assert _report_digest(method, overrides, tmp_path) == digest
+
+
+def test_py312_sum_is_compensated():
+    row = [-334.85304659498206, -70.17543859649122, -379.6333333333333]
+    assert py312_sum(row) == -784.6618185248066
+    assert (row[0] + row[1]) + row[2] == -784.6618185248067      # as 3.10 and 3.11 add
+    assert math.copysign(1.0, py312_sum([-0.0, -0.0])) == 1.0       # 0 + -0.0 is +0.0
+    total = py312_sum(v for v in (True, 2, 3))
+    assert total == 6 and type(total) is int
+
+
+@pinned_numpy
+@each_golden
+def test_report_bytes_do_not_depend_on_builtin_sum(method, overrides, digest, tmp_path,
+                                                    monkeypatch):
+    # sim reads `sum` from its module globals before the builtins, so this
+    # runs any sum() call of sim as Python 3.12 would, even under 3.10 or 3.11
+    monkeypatch.setattr(sim, "sum", py312_sum, raising=False)
+    assert _report_digest(method, overrides, tmp_path) == digest

@@ -1,6 +1,7 @@
 """Every module under src/, tests/ and demos/ uses each name it imports,
 every module-level def or class in src/ has a caller in src/ or perfbench/,
-and importing absim loads neither scipy nor scikit-learn."""
+no module in src/ calls the built-in sum(), and importing absim loads
+neither scipy nor scikit-learn."""
 
 import ast
 import os
@@ -92,6 +93,17 @@ def test_every_src_definition_has_a_production_caller():
     # test-only helpers live in tests/, not src/
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PRODUCTION}
     assert [(p, name) for p, name in uncalled_definitions(sources) if p.startswith("src")] == []
+
+
+def test_src_calls_no_builtin_sum():
+    # CPython 3.12 made float sum() compensated, so a total taken through it
+    # would make report bytes depend on the interpreter
+    calls = [(str(p.relative_to(ROOT)), node.lineno)
+             for p in PRODUCTION if p.is_relative_to(ROOT / "src")
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "sum"]
+    assert calls == []
 
 
 def test_absim_runs_on_numpy_alone():

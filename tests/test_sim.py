@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -257,6 +258,15 @@ def test_train_report_structure():
     assert all(0.0 <= v <= 1.0 for v in rep.eval_outage.values())
     assert rep.config_hash == config_hash(cfg)
     assert rep.distortion == res.world.graph.distortion
+
+
+def test_no_outage_world_totals_to_positive_zero():
+    # at a -300 dB threshold no user is in outage and every UAV penalty is
+    # -0.0; each slot's total, and so the reward curve, is +0.0, as when
+    # slots were totalled by Python's sum() from int 0
+    rep = train(mk_cfg(gamma_th_db=-300.0), "qa").report
+    assert rep.eval_outage == {"network": 0.0, "priority": 0.0, "regular": 0.0}
+    assert all(r == 0.0 and math.copysign(1.0, r) == 1.0 for r in rep.reward_curve)
 
 
 def test_train_audit_is_clean():
