@@ -9,55 +9,35 @@ by the elevation-dependent LoS probability:
               + 10*log10(P_LoS * kappa_LoS + (1 - P_LoS) * kappa_NLoS)
 
 with kappa_* the linear excess-loss factors and K0 the reference loss at
-1 m (free-space by default). Small-scale fading is unit-mean exponential
-power fading applied multiplicatively to the linear gain 10^(-L_eff/10).
+1 m (free-space by default). The parameters are read from ScenarioConfig:
+kappa_* from its dB fields kappa_los_db and kappa_nlos_db, K0 from
+ref_loss_k0_value() and h from altitude_m. Small-scale fading is unit-mean
+exponential power fading applied multiplicatively to the linear gain
+10^(-L_eff/10).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import ScenarioConfig
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    b1: float            # LoS slope [1/deg]
-    b2: float            # LoS exponent
-    xi_deg: float        # LoS angle offset [deg]
-    alpha: float         # path loss exponent
-    kappa_los: float     # linear LoS excess loss (>= 1)
-    kappa_nlos: float    # linear NLoS excess loss (>= kappa_los)
-    k0: float            # reference loss at 1 m, linear
-
-    @classmethod
-    def from_config(cls, cfg: ScenarioConfig) -> "ChannelParams":
-        return cls(
-            b1=cfg.plos_b1,
-            b2=cfg.plos_b2,
-            xi_deg=cfg.plos_xi_deg,
-            alpha=cfg.path_alpha,
-            kappa_los=10.0 ** (cfg.kappa_los_db / 10.0),
-            kappa_nlos=10.0 ** (cfg.kappa_nlos_db / 10.0),
-            k0=cfg.ref_loss_k0_value(),
-        )
-
-
-def los_probability(theta_deg, p: ChannelParams):
+def los_probability(theta_deg, cfg: ScenarioConfig):
     """P_LoS(theta); an array of theta's shape."""
-    base = p.b1 * (np.asarray(theta_deg, dtype=float) - p.xi_deg)
-    prob = np.where(base > 0.0, np.power(np.maximum(base, 0.0), p.b2), 0.0)
+    base = cfg.plos_b1 * (np.asarray(theta_deg, dtype=float) - cfg.plos_xi_deg)
+    prob = np.where(base > 0.0, np.power(np.maximum(base, 0.0), cfg.plos_b2), 0.0)
     return np.clip(prob, 0.0, 1.0)
 
 
-def effective_path_loss_db(distance_m, theta_deg, p: ChannelParams):
+def effective_path_loss_db(distance_m, theta_deg, cfg: ScenarioConfig):
     """LoS/NLoS-blended large-scale loss in dB; vectorized."""
     d = np.asarray(distance_m, dtype=float)
-    plos = los_probability(theta_deg, p)
-    excess = plos * p.kappa_los + (1.0 - plos) * p.kappa_nlos
-    return 10.0 * np.log10(p.k0) + 10.0 * p.alpha * np.log10(d) + 10.0 * np.log10(excess)
+    plos = los_probability(theta_deg, cfg)
+    excess = (plos * 10.0 ** (cfg.kappa_los_db / 10.0)
+              + (1.0 - plos) * 10.0 ** (cfg.kappa_nlos_db / 10.0))
+    return (10.0 * np.log10(cfg.ref_loss_k0_value()) + 10.0 * cfg.path_alpha * np.log10(d)
+            + 10.0 * np.log10(excess))
 
 
 def sample_fading(rng: np.random.Generator, size=None):
@@ -65,10 +45,10 @@ def sample_fading(rng: np.random.Generator, size=None):
     return rng.exponential(1.0, size)
 
 
-def link_matrix(uav_xy: np.ndarray, altitude_m: float, users_xy: np.ndarray,
-                p: ChannelParams) -> tuple[np.ndarray, np.ndarray]:
+def link_matrix(uav_xy: np.ndarray, users_xy: np.ndarray,
+                cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """(n_users, n_uav) distances and large-scale losses for a whole slot."""
     diff = users_xy[:, None, :] - uav_xy[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=2) + altitude_m ** 2)
-    theta = np.degrees(np.arcsin(altitude_m / d))
-    return d, effective_path_loss_db(d, theta, p)
+    d = np.sqrt((diff ** 2).sum(axis=2) + cfg.altitude_m ** 2)
+    theta = np.degrees(np.arcsin(cfg.altitude_m / d))
+    return d, effective_path_loss_db(d, theta, cfg)

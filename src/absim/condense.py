@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import ScenarioConfig, rng_stream
-from .channel import ChannelParams, link_matrix
+from .channel import link_matrix
 from .radio import db_to_linear
 
 # annealing stops once the best distortion moved less than STOP_TOL over the
@@ -253,10 +253,9 @@ def snr_proxy(nodes: np.ndarray, users_xy: np.ndarray, priority_mask: np.ndarray
 
     Fading is left out (set to its unit mean); weights are mu_pr / mu_nr.
     """
-    p = ChannelParams.from_config(cfg)
     gain = np.empty((len(users_xy), len(nodes)))  # (K, N0)
     for s in range(0, len(nodes), BLOCK):
-        _, loss_db = link_matrix(nodes[s:s + BLOCK], cfg.altitude_m, users_xy, p)
+        _, loss_db = link_matrix(nodes[s:s + BLOCK], users_xy, cfg)
         gain[:, s:s + BLOCK] = db_to_linear(-loss_db)
     w = np.where(priority_mask, cfg.mu_pr, cfg.mu_nr)
     return w @ gain  # one product: per-block products round differently

@@ -17,7 +17,8 @@ load_qtables) hold 0 there instead. Worlds stepped in lockstep stack these
 along a leading world axis, so selection and backups take one call per
 slot. Epsilon-greedy exploration is drawn once per episode, from the raw
 words of each world's stream (draw_exploration), exactly as numpy 2.4.6's
-Generator calls would draw it slot by slot; a one-centroid world draws none.
+Generator calls would draw it slot by slot (a test checks this against the
+installed numpy's own calls); a one-centroid world draws none.
 """
 
 from __future__ import annotations

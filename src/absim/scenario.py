@@ -199,28 +199,24 @@ class ScenarioConfig:
         return dataclasses.asdict(self)
 
 
-_INT_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)
-               if f.type in ("int",)}
-_STR_FIELDS = {"candidate_rule", "uav_start"}
-
-
 def config_from_dict(overrides: dict) -> ScenarioConfig:
-    """Build a validated config from default values plus JSON overrides."""
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(overrides) - known
+    """Build a validated config from default values plus JSON overrides,
+    each checked against the kind its field is annotated with."""
+    kinds = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+    unknown = set(overrides) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     coerced = {}
     for key, val in overrides.items():
-        if key in _STR_FIELDS:
+        if kinds[key] == "str":
             if not isinstance(val, str):
                 raise ConfigError(f"{key}: expected string, got {type(val).__name__}")
             coerced[key] = val
-        elif key in _INT_FIELDS:
+        elif kinds[key] == "int":
             if isinstance(val, bool) or not isinstance(val, int):
                 raise ConfigError(f"{key}: expected integer, got {val!r}")
             coerced[key] = val
-        elif key == "ref_loss_k0" and val is None:
+        elif kinds[key] == "float | None" and val is None:
             coerced[key] = None
         else:
             if isinstance(val, bool) or not isinstance(val, (int, float)):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenario import ScenarioConfig, config_hash, drop_users, generate_candidates, rng_stream
-from .channel import ChannelParams, link_matrix, sample_fading
+from .channel import link_matrix, sample_fading
 from .radio import (dbm_to_watt, evaluate_slot, link_tables, outage_fractions, outage_keys,
                     outage_stats, rate_bps)
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
@@ -121,9 +121,8 @@ class Lockstep:
         m = worlds[0].graph.n_centroids
         self.worlds = worlds
         self.cfg = cfg
-        p = ChannelParams.from_config(cfg)
         self.links = link_tables(np.stack([
-            link_matrix(w.graph.centroids, cfg.altitude_m, w.users_xy, p)[1] for w in worlds]), cfg)
+            link_matrix(w.graph.centroids, w.users_xy, cfg)[1] for w in worlds]), cfg)
         self.outage_keys = outage_keys(np.stack([w.priority_mask for w in worlds]), cfg.n_uav)
         self.adj = np.stack([w.graph.adj for w in worlds])
         self.moves, self.n_moves = move_table(self.adj)

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from absim import sim
-from absim.channel import ChannelParams, link_matrix
+from absim.channel import link_matrix
 from absim.condense import _draw_move, snr_proxy, sq_dist
 from absim.radio import dbm_to_watt, db_to_linear
 from absim.rl import masked, td_update
@@ -216,8 +216,7 @@ def distortion_one_shot(nodes, centroids) -> float:
 
 def snr_proxy_one_shot(nodes, users_xy, priority_mask, cfg) -> np.ndarray:
     """condense.snr_proxy from one (K, N) loss matrix, no blocks."""
-    _, loss_db = link_matrix(nodes, cfg.altitude_m, users_xy,
-                             ChannelParams.from_config(cfg))
+    _, loss_db = link_matrix(nodes, users_xy, cfg)
     w = np.where(priority_mask, cfg.mu_pr, cfg.mu_nr)
     return w @ db_to_linear(-loss_db)
 

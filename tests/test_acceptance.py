@@ -26,7 +26,7 @@ from absim.condense import accept, kmeans_condense, qa_condense
 from absim.radio import evaluate_slot, link_tables
 from absim.scenario import ScenarioConfig, generate_candidates, rng_stream
 from absim.sim import METHODS, compare_methods, sweep_mu, train
-from absim.channel import ChannelParams, link_matrix, sample_fading
+from absim.channel import link_matrix, sample_fading
 from helpers import brute_force_slot, mk_cfg, neighbors, td_step
 
 SEEDS = 5
@@ -126,13 +126,12 @@ def test_criterion_06_condensation_quality():
 def test_criterion_07_radio_matches_brute_force():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(123)
-    chan = ChannelParams.from_config(cfg)
     for trial in range(20):
         n_users = int(rng.integers(2, 11))
         n_uav = int(rng.integers(1, 4))
         uav_xy = rng.uniform(0, cfg.x_max, (n_uav, 2))
         users_xy = rng.uniform(0, cfg.x_max, (n_users, 2))
-        _, loss = link_matrix(uav_xy, cfg.altitude_m, users_xy, chan)
+        _, loss = link_matrix(uav_xy, users_xy, cfg)
         fading = sample_fading(rng, (n_users, n_uav))
         prev = rng.integers(0, n_uav, n_users) if trial % 2 else None
         state = evaluate_slot(link_tables(loss, cfg), np.arange(n_uav), fading, prev)

@@ -1,5 +1,6 @@
 """Air-to-ground channel: geometry, LoS probability, blended loss, fading."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absim.channel import (ChannelParams, effective_path_loss_db, link_matrix,
-                           los_probability, sample_fading)
+from absim.channel import effective_path_loss_db, link_matrix, los_probability, sample_fading
 from absim.scenario import rng_stream
 from helpers import channel_gain, link_geometry, mk_cfg
 
-P = ChannelParams(b1=0.1, b2=1.0, xi_deg=5.0, alpha=2.0,
-                  kappa_los=10 ** 0.1, kappa_nlos=100.0,
-                  k0=ChannelParams.from_config(mk_cfg()).k0)
+P = mk_cfg()
 
 
 def test_geometry_overhead():
@@ -45,8 +43,7 @@ def test_los_probability_reference_points():
 
 
 def test_los_probability_fractional_exponent():
-    p2 = ChannelParams(b1=0.1, b2=2.0, xi_deg=5.0, alpha=2.0,
-                       kappa_los=1.0, kappa_nlos=100.0, k0=P.k0)
+    p2 = mk_cfg(plos_b2=2.0, kappa_los_db=0.0)
     assert los_probability(10.0, p2) == pytest.approx(0.25)
     assert los_probability(3.0, p2) == 0.0
 
@@ -62,8 +59,7 @@ def test_los_probability_vectorized():
 @given(theta=st.floats(0.01, 90.0), b1=st.floats(0.001, 2.0),
        b2=st.floats(0.1, 5.0), xi=st.floats(0.0, 20.0))
 def test_los_probability_stays_in_unit_interval(theta, b1, b2, xi):
-    p = ChannelParams(b1=b1, b2=b2, xi_deg=xi, alpha=2.0,
-                      kappa_los=1.0, kappa_nlos=100.0, k0=P.k0)
+    p = dataclasses.replace(P, plos_b1=b1, plos_b2=b2, plos_xi_deg=xi)
     prob = los_probability(theta, p)
     assert 0.0 <= prob <= 1.0
 
@@ -71,7 +67,7 @@ def test_los_probability_stays_in_unit_interval(theta, b1, b2, xi):
 def test_path_loss_pure_los_reference():
     # 100 m overhead-ish link with P_LoS = 1: reference + 40 dB + 1 dB excess
     loss = effective_path_loss_db(100.0, 90.0, P)
-    assert loss == pytest.approx(10 * math.log10(P.k0) + 40.0 + 1.0, abs=1e-9)
+    assert loss == pytest.approx(10 * math.log10(P.ref_loss_k0_value()) + 40.0 + 1.0, abs=1e-9)
     assert loss == pytest.approx(79.46, abs=0.02)
 
 
@@ -84,7 +80,7 @@ def test_path_loss_pure_nlos_adds_20db():
 def test_path_loss_blend_excess():
     # theta = 7 deg: P_LoS = 0.2, excess = 10log10(0.2*10^0.1 + 0.8*100)
     loss = effective_path_loss_db(100.0, 7.0, P)
-    excess = loss - 10 * math.log10(P.k0) - 40.0
+    excess = loss - 10 * math.log10(P.ref_loss_k0_value()) - 40.0
     assert excess == pytest.approx(19.05, abs=0.01)
 
 
@@ -131,28 +127,50 @@ def test_mean_gain_matches_large_scale():
     assert mean_gain == pytest.approx(10 ** (-9.2), rel=0.01)
 
 
-def test_from_config_converts_kappas():
-    p = ChannelParams.from_config(mk_cfg())
-    assert p.kappa_los == pytest.approx(1.2589, abs=1e-4)
-    assert p.kappa_nlos == pytest.approx(100.0)
+# each channel field moved off its default, and every value valid beside
+# mk_cfg's others; users span pure LoS, the blend and pure NLoS at h = 100 m
+CHANNEL_FIELDS = [("plos_b1", 0.05), ("plos_b2", 2.0), ("plos_xi_deg", 8.0),
+                  ("path_alpha", 2.5), ("kappa_los_db", 3.0), ("kappa_nlos_db", 30.0),
+                  ("carrier_hz", 5.8e9), ("ref_loss_k0", 1234.5)]
 
 
-def test_from_config_honors_k0_override():
-    p = ChannelParams.from_config(mk_cfg(ref_loss_k0=1234.5))
-    assert p.k0 == 1234.5
+def scalar_loss_db(cfg, uav_xy, user_xy) -> float:
+    """The module docstring's L_eff for one link, in scalar math."""
+    g = link_geometry((*uav_xy, cfg.altitude_m), user_xy)
+    base = cfg.plos_b1 * (g.theta_deg - cfg.plos_xi_deg)
+    plos = min(base ** cfg.plos_b2, 1.0) if base > 0.0 else 0.0
+    k0 = cfg.ref_loss_k0
+    if k0 is None:
+        k0 = (4.0 * math.pi * cfg.carrier_hz / 299792458.0) ** 2
+    excess = plos * 10 ** (cfg.kappa_los_db / 10) + (1 - plos) * 10 ** (cfg.kappa_nlos_db / 10)
+    return (10 * math.log10(k0) + 10 * cfg.path_alpha * math.log10(g.distance_m)
+            + 10 * math.log10(excess))
+
+
+@pytest.mark.parametrize("field, value", CHANNEL_FIELDS, ids=[f for f, _ in CHANNEL_FIELDS])
+def test_link_matrix_follows_each_channel_field(field, value):
+    uav_xy = np.array([[700.0, 700.0], [100.0, 1300.0]])
+    ground = np.array([0.0, 150.0, 400.0, 600.0, 900.0, 1300.0])
+    users_xy = np.column_stack([700.0 + ground, np.full(ground.size, 700.0)])
+    cfg = mk_cfg(**{field: value})  # the rest as mk_cfg: ref_loss_k0=None
+    _, loss = link_matrix(uav_xy, users_xy, cfg)
+    _, base_loss = link_matrix(uav_xy, users_xy, mk_cfg())
+    assert not np.allclose(loss, base_loss, rtol=1e-9, atol=0.0)
+    for k, user in enumerate(users_xy):
+        for n, uav in enumerate(uav_xy):
+            assert loss[k, n] == pytest.approx(scalar_loss_db(cfg, uav, user), rel=1e-12)
 
 
 def test_link_matrix_matches_scalar_path():
     cfg = mk_cfg()
-    p = ChannelParams.from_config(cfg)
     rng = np.random.default_rng(5)
     uav_xy = rng.uniform(0, cfg.x_max, (3, 2))
     users_xy = rng.uniform(0, cfg.x_max, (7, 2))
-    d, loss = link_matrix(uav_xy, cfg.altitude_m, users_xy, p)
+    d, loss = link_matrix(uav_xy, users_xy, cfg)
     assert d.shape == loss.shape == (7, 3)
     for k in range(7):
         for n in range(3):
             g = link_geometry((*uav_xy[n], cfg.altitude_m), users_xy[k])
             assert d[k, n] == pytest.approx(g.distance_m, rel=1e-12)
-            want = effective_path_loss_db(g.distance_m, g.theta_deg, p)
+            want = effective_path_loss_db(g.distance_m, g.theta_deg, cfg)
             assert loss[k, n] == pytest.approx(want, rel=1e-12)

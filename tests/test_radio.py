@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absim.channel import ChannelParams, link_matrix, sample_fading
+from absim.channel import link_matrix, sample_fading
 from absim.radio import (LinkState, db_to_linear, dbm_to_watt, evaluate_slot, link_tables,
                          outage_fractions, outage_keys, outage_stats, rate_bps)
 from helpers import brute_force_slot, gathered_loss_slot, interference, mk_cfg, sinr
@@ -86,10 +86,9 @@ def test_rate_reference_points():
 
 
 def _random_instance(rng, cfg, n_users, n_uav):
-    p = ChannelParams.from_config(cfg)
     uav_xy = rng.uniform(0, cfg.x_max, (n_uav, 2))
     users_xy = rng.uniform(0, cfg.x_max, (n_users, 2))
-    _, loss = link_matrix(uav_xy, cfg.altitude_m, users_xy, p)
+    _, loss = link_matrix(uav_xy, users_xy, cfg)
     fading = sample_fading(rng, (n_users, n_uav))
     return loss, fading
 

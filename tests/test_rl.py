@@ -180,8 +180,6 @@ def _episodes_match_per_call(gen, ref, eps, adj, episodes, n_uav, rng, start=Fal
     return draws
 
 
-@pytest.mark.skipif(np.__version__ != "2.4.6",
-                    reason=f"emulates numpy 2.4.6's Generator, running {np.__version__}")
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), eps=st.floats(0.0, 1.0, exclude_min=True),
        m=st.integers(2, 12), n_uav=st.integers(1, 4),

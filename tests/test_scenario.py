@@ -1,5 +1,6 @@
 """Config validation, RNG stream discipline, and static scenario generation."""
 
+import dataclasses
 import json
 import math
 
@@ -50,7 +51,6 @@ def test_default_config_is_valid():
     ("seed", -1),
 ])
 def test_validate_names_offending_field(field, value):
-    import dataclasses
     cfg = dataclasses.replace(ScenarioConfig(), **{field: value})
     with pytest.raises(ConfigError, match=field):
         cfg.validate()
@@ -72,6 +72,45 @@ def test_config_from_dict_rejects_unknown_keys():
 def test_config_from_dict_rejects_bad_types(key, value):
     with pytest.raises(ConfigError, match=key):
         config_from_dict({key: value})
+
+
+FIELD_KINDS = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+
+
+def test_every_field_has_a_kind_the_parser_knows():
+    # config_from_dict reads each field's kind from its annotation string;
+    # any other annotation (or a class, without postponed annotations) would
+    # fall through to the number branch
+    odd = {k: v for k, v in FIELD_KINDS.items()
+           if v not in ("int", "float", "str", "float | None")}
+    assert not odd
+
+
+def _wrong_kind_cases():
+    for key, kind in FIELD_KINDS.items():
+        if kind == "str":
+            yield key, 3, "expected string, got int"
+            yield key, None, "expected string, got NoneType"
+        elif kind == "int":
+            yield key, True, "expected integer, got True"
+            yield key, 1.5, "expected integer, got 1.5"
+            yield key, None, "expected integer, got None"
+        else:
+            yield key, True, "expected number, got True"
+            if kind == "float":
+                yield key, None, "expected number, got None"
+
+
+@pytest.mark.parametrize("key,value,message", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]!r}") for case in _wrong_kind_cases()])
+def test_config_from_dict_rejects_wrong_kind_by_annotation(key, value, message):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({key: value})
+    assert str(err.value) == f"{key}: {message}"
+
+
+def test_config_from_dict_accepts_null_k0():
+    assert config_from_dict({"ref_loss_k0": None}).ref_loss_k0 is None
 
 
 def test_config_from_dict_coerces_ints_to_float_fields():

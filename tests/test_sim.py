@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absim.channel import ChannelParams, link_matrix, sample_fading
+from absim.channel import link_matrix, sample_fading
 from absim import sim
 from absim.condense import CondensedGraph
 from absim.radio import dbm_to_watt
@@ -57,8 +57,7 @@ def small_world():
 def test_loss_table_gather_equals_link_matrix(small_world, states):
     # repeated centroids included: two UAVs may share a waypoint
     w, loss_db = small_world
-    _, want = link_matrix(w.graph.centroids[states], w.cfg.altitude_m, w.users_xy,
-                          ChannelParams.from_config(w.cfg))
+    _, want = link_matrix(w.graph.centroids[states], w.users_xy, w.cfg)
     got = loss_db[:, states]
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
