@@ -20,9 +20,9 @@ import time
 import numpy as np
 
 from .scenario import ScenarioConfig, ConfigError, load_config
-from .sim import (METHODS, _write_json, build_world, compare_methods, evaluate_policy,
+from .sim import (METHODS, build_world, compare_methods, evaluate_policy,
                   run_dir, sweep_mu, train, write_anneal_trace_csv, write_centroids_csv,
-                  write_compare_learning_curves_csv, write_edges_csv,
+                  write_compare_learning_curves_csv, write_edges_csv, write_json,
                   write_learning_curve_csv, write_outage_csv, write_report_json,
                   write_summary_md, write_sweep_csv, write_timings_json,
                   write_trajectory_csv)
@@ -166,8 +166,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"Q-table snapshot does not match this config: {exc}")
     out = _outdir(args, cfg)
     ev = evaluate_policy(world, qtables)
-    _write_json(os.path.join(out, "evaluation.json"),
-                {"outage": ev.outage, "mean_rate_bps": ev.mean_rate_bps, "audit": ev.audit})
+    write_json(os.path.join(out, "evaluation.json"),
+               {"outage": ev.outage, "mean_rate_bps": ev.mean_rate_bps, "audit": ev.audit})
     print(f"outage: network={ev.outage['network']:.4f} "
           f"priority={ev.outage['priority']:.4f} regular={ev.outage['regular']:.4f}")
     return 0

@@ -112,16 +112,12 @@ def _rescan(nodes, centroids, rows, d1, i1, d2, i2):
     for s in range(0, len(rows), BLOCK):
         r = rows[s:s + BLOCK]
         dist2 = sq_dist(nodes[r], centroids)
-        if len(centroids) == 1:
-            d1[r], i1[r], d2[r], i2[r] = dist2[:, 0], 0, np.inf, 0
-            continue
-        idx = np.argpartition(dist2, 1, axis=1)[:, :2]
-        vals = np.take_along_axis(dist2, idx, axis=1)
-        swap = vals[:, 0] > vals[:, 1]
-        d1[r] = np.where(swap, vals[:, 1], vals[:, 0])
-        i1[r] = np.where(swap, idx[:, 1], idx[:, 0])
-        d2[r] = np.where(swap, vals[:, 0], vals[:, 1])
-        i2[r] = np.where(swap, idx[:, 0], idx[:, 1])
+        k = np.arange(len(r))
+        i1[r] = first = dist2.argmin(axis=1)
+        d1[r] = dist2[k, first]
+        dist2[k, first] = np.inf        # with one centroid: d2 = inf, i2 = 0
+        i2[r] = second = dist2.argmin(axis=1)
+        d2[r] = dist2[k, second]
 
 
 def _apply_move(nodes, centroids, d1, i1, d2, i2, m, col, served):

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -39,8 +38,8 @@ from .channel import link_matrix, sample_fading
 from .radio import (dbm_to_watt, evaluate_slot, link_tables, outage_fractions, outage_keys,
                     outage_stats, rate_bps)
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
-from .rl import (Exploration, _index_arrays, draw_exploration, masked, move_table, reward,
-                 select_action, td_update)
+from .rl import (Exploration, draw_exploration, masked, move_table, reward, select_action,
+                 td_update)
 
 METHODS = ("qa", "kmeans", "snrp")
 
@@ -77,23 +76,17 @@ class World:
     graph: CondensedGraph
 
 
-def condense_graph(method: str, nodes: np.ndarray, users_xy: np.ndarray,
-                   priority_mask: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
-    if method == "qa":
-        return qa_condense(nodes, cfg)
-    if method == "kmeans":
-        return kmeans_condense(nodes, cfg)
-    if method == "snrp":
-        return snrp_condense(nodes, users_xy, priority_mask, cfg)
-    raise ValueError(f"unknown condensation method: {method!r}")
-
-
 def build_world(cfg: ScenarioConfig, method: str) -> tuple[World, float]:
     """Drop users and condense the candidate set."""
+    if method not in METHODS:
+        raise ValueError(f"unknown condensation method: {method!r}")
     users_xy, priority_mask = drop_users(cfg)
     nodes = generate_candidates(cfg)
     t0 = time.perf_counter()
-    graph = condense_graph(method, nodes, users_xy, priority_mask, cfg)
+    if method == "snrp":
+        graph = snrp_condense(nodes, users_xy, priority_mask, cfg)
+    else:
+        graph = (qa_condense if method == "qa" else kmeans_condense)(nodes, cfg)
     condense_time = time.perf_counter() - t0
     return World(cfg, users_xy, priority_mask, graph), condense_time
 
@@ -142,15 +135,6 @@ class Lockstep:
         return len(self.worlds)
 
 
-def start_states(world: World, rng_act: np.random.Generator) -> list[int]:
-    cfg = world.cfg
-    m = world.graph.n_centroids
-    if cfg.uav_start == "random":
-        return [int(s) for s in rng_act.integers(m, size=cfg.n_uav)]
-    stride = m // cfg.n_uav
-    return [i * stride for i in range(cfg.n_uav)]
-
-
 def run_slot(batch: Lockstep, q: np.ndarray, states: np.ndarray,
              prev_assoc: np.ndarray | None, draws: Exploration, t: int,
              fading: np.ndarray, learn: bool) -> tuple:
@@ -176,22 +160,19 @@ def run_slot(batch: Lockstep, q: np.ndarray, states: np.ndarray,
 
 def _audit_moves(batch: Lockstep, states: np.ndarray, actions: np.ndarray,
                  audit: np.ndarray) -> None:
-    """Count violations of the waypoint / adjacency / speed / altitude caps.
-
-    states and actions are (..., S, n_uav): one slot's moves, or, with a
-    leading slots axis, an episode's; the altitude counts once per slot.
+    """Count an episode's violations of the waypoint / adjacency / speed /
+    altitude caps; states and actions are (slots, S, n_uav), and the
+    altitude counts once per slot.
     """
     cfg = batch.cfg
     if not (cfg.alt_min_m <= cfg.altitude_m <= cfg.alt_max_m):
-        audit[:, _ALTITUDE] += math.prod(states.shape[:-2])
+        audit[:, _ALTITUDE] += len(states)
     m = batch.move_flags.shape[1]
     target = np.minimum(np.maximum(actions, -1), m)     # -1 wraps to column M
-    rows, _ = _index_arrays(*states.shape[-2:])
-    flags = batch.move_flags[rows, states, target]
-    if np.count_nonzero(flags):
-        per_world = flags.reshape((-1,) + flags.shape[-2:])
+    flags = batch.move_flags[np.arange(len(batch))[:, None], states, target]
+    if np.count_nonzero(flags):     # healthy runs flag none; the counts cost ~17 µs
         for bit, col in _MOVE_BITS:
-            audit[:, col] += np.count_nonzero(per_world & bit, axis=(0, 2))
+            audit[:, col] += np.count_nonzero(flags & bit, axis=(0, 2))
 
 
 # columns of run_episode's table of slot means
@@ -218,7 +199,11 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     n_slots = cfg.slots_per_episode
     link_shape = (cfg.n_users, cfg.n_uav)
     traj = np.empty((n_slots + 1, len(batch), cfg.n_uav), dtype=int)
-    traj[0] = [start_states(w, rng) for w, rng in zip(batch.worlds, rng_act)]
+    m = batch.adj.shape[-1]
+    if cfg.uav_start == "random":
+        traj[0] = [rng.integers(m, size=cfg.n_uav) for rng in rng_act]
+    else:
+        traj[0] = np.arange(cfg.n_uav) * (m // cfg.n_uav)
     draws = draw_exploration(rng_act, eps, n_slots, cfg.n_uav, batch.moves, batch.n_moves)
     fading = np.empty((n_slots, len(batch)) + link_shape)
     for k, rng in enumerate(rng_fading):
@@ -469,7 +454,7 @@ def _write_csv(path, header: str, rows) -> None:
             fh.write(",".join(_f(c) if isinstance(c, float) else str(c) for c in row) + "\n")
 
 
-def _write_json(path, obj) -> None:
+def write_json(path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -514,7 +499,7 @@ def write_sweep_csv(path, rows: list) -> None:
 
 
 def write_timings_json(path, timings: dict) -> None:
-    _write_json(path, timings)
+    write_json(path, timings)
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -527,7 +512,7 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def write_report_json(path, report: RunReport) -> None:
-    _write_json(path, report_to_dict(report))
+    write_json(path, report_to_dict(report))
 
 
 def write_compare_learning_curves_csv(path, reports: list) -> None:

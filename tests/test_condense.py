@@ -229,6 +229,36 @@ def test_qa_incremental_distortion_bookkeeping_is_exact(n_centroids, n_candidate
     assert graph.distortion == distortion(nodes, graph.centroids)
 
 
+GRID = math.isqrt(BLOCK) + 1      # GRID**2 candidates: rows in two blocks
+
+
+@pytest.mark.parametrize("centroids", [
+    [(8, 8)],
+    [(4, 8), (12, 8)],
+    [(x, y) for x in (4, 8, 12) for y in (4, 8, 12)],
+], ids=["1", "2", "9"])
+def test_rescan_top2_equals_sorted_brute_force(centroids):
+    # integer points, so every squared distance is exact; centroids placed
+    # symmetrically on the grid leave rows tied between two, three or four
+    nodes = np.array([(x, y) for x in range(GRID) for y in range(GRID)], dtype=float)
+    assert BLOCK < len(nodes) <= 2 * BLOCK
+    cents = np.array(centroids, dtype=float)
+    brute = ((nodes[:, None, :] - cents[None, :, :]) ** 2).sum(axis=-1)
+    want = np.sort(brute, axis=1)
+    rows = np.arange(len(nodes))
+    d1, i1, d2, i2 = (np.empty(len(nodes), t) for t in (float, np.intp, float, np.intp))
+    condense._rescan(nodes, cents, rows, d1, i1, d2, i2)
+    assert (d1 == want[:, 0]).all() and (brute[rows, i1] == d1).all()
+    if len(cents) == 1:
+        assert (d2 == np.inf).all()
+    else:
+        assert (d2 == want[:, 1]).all() and (brute[rows, i2] == d2).all()
+        assert (i1 != i2).all()
+        assert (want[:, 0] == want[:, 1]).any()       # ties for the nearest
+    if len(cents) > 2:
+        assert (want[:, 1] == want[:, 2]).any()       # ties for the runner-up
+
+
 def test_kmeans_two_clusters():
     rng = np.random.default_rng(0)
     a = rng.normal((10.0, 10.0), 0.1, (10, 2))

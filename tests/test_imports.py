@@ -1,7 +1,7 @@
 """Every module under src/, tests/ and demos/ uses each name it imports,
 every module-level def or class in src/ has a caller in src/ or perfbench/,
-no module in src/ calls the built-in sum(), and importing absim loads
-neither scipy nor scikit-learn."""
+no module in src/ imports another's underscore name or calls the built-in
+sum(), and importing absim loads neither scipy nor scikit-learn."""
 
 import ast
 import os
@@ -93,6 +93,29 @@ def test_every_src_definition_has_a_production_caller():
     # test-only helpers live in tests/, not src/
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in PRODUCTION}
     assert [(p, name) for p, name in uncalled_definitions(sources) if p.startswith("src")] == []
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each underscore name, dunders aside, that source
+    imports from the absim package."""
+    return [(node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "absim")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+def test_private_import_scan():
+    source = ("from .rl import (masked, _index_arrays)\nfrom absim.sim import _f\n"
+              "from . import __version__\nfrom numpy import _core\n")
+    assert private_imports(source) == [(1, "_index_arrays"), (2, "_f")]
+
+
+def test_src_imports_no_private_name_of_another_module():
+    found = [(str(p.relative_to(ROOT)), line, name)
+             for p in PRODUCTION if p.is_relative_to(ROOT / "src")
+             for line, name in private_imports(p.read_text())]
+    assert found == []
 
 
 def test_src_calls_no_builtin_sum():

@@ -167,7 +167,7 @@ def _episodes_match_per_call(gen, ref, eps, adj, episodes, n_uav, rng, start=Fal
     moves, n_moves = move_table(adj)
     q = masked(rng.normal(size=(1, n_uav, m, m)), adj)
     for n_slots in episodes:
-        if start:       # start_states' draw of a random start
+        if start:       # run_episode's draw of a random start
             assert gen.integers(m, size=n_uav).tolist() == ref.integers(m, size=n_uav).tolist()
         draws = draw_exploration([gen], eps, n_slots, n_uav, moves[None], n_moves[None])
         for t in range(n_slots):
@@ -191,7 +191,7 @@ def test_exploration_draws_equal_generator_calls(seed, eps, m, n_uav, episodes, 
                                                  buffered):
     # every state has 2 to m moves; at eps = 1 and an odd count of UAVs,
     # an odd number of exploration draws leaves a half-word buffered at the
-    # next episode's start, as does start_states' integers(m, size=n_uav)
+    # next episode's start, as does run_episode's integers(m, size=n_uav)
     rng = np.random.default_rng(seed)
     adj = rng.random((m, m)) < rng.random()
     adj[np.arange(m), np.arange(m)] = adj[np.arange(m), (np.arange(m) + 1) % m] = True

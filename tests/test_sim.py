@@ -16,9 +16,8 @@ from absim.radio import dbm_to_watt
 from absim.rl import masked
 from absim.scenario import config_hash
 from absim.sim import (AUDIT_KEYS, METHODS, Lockstep, _audit_moves, build_world,
-                       compare_methods, condense_graph, evaluate_policy, World,
-                       report_to_dict, run_dir, run_episode, start_states, sweep_mu, train,
-                       train_lockstep,
+                       compare_methods, evaluate_policy, World, report_to_dict, run_dir,
+                       run_episode, sweep_mu, train, train_lockstep,
                        write_centroids_csv, write_compare_learning_curves_csv,
                        write_edges_csv, write_learning_curve_csv, write_outage_csv,
                        write_report_json, write_summary_md, write_sweep_csv,
@@ -122,8 +121,8 @@ def test_audit_moves_counts_each_violation():
              (2, 3), (3, 2),            # along the virtual corridor
              (1, 1), (1, 0), (1, 2)]    # hover and legal steps
     counts = np.zeros((1, len(AUDIT_KEYS)), dtype=int)
-    _audit_moves(Lockstep([world]), np.array([[s for s, _ in moves]]),
-                 np.array([[a for _, a in moves]]), counts)
+    _audit_moves(Lockstep([world]), np.array([[s for s, _ in moves]])[None],
+                 np.array([[a for _, a in moves]])[None], counts)
     audit = dict(zip(AUDIT_KEYS, counts[0].tolist()))
     assert audit == {"waypoint_off_graph": 1, "move_not_neighbor": 2,
                      "move_too_fast": 3, "altitude_out_of_band": 0,
@@ -131,7 +130,7 @@ def test_audit_moves_counts_each_violation():
 
     # a negative target must not wrap around to the last centroid
     high = dataclasses.replace(world, cfg=dataclasses.replace(cfg, altitude_m=400.0))
-    _audit_moves(Lockstep([high]), np.array([[1]]), np.array([[-1]]), counts)
+    _audit_moves(Lockstep([high]), np.array([[1]])[None], np.array([[-1]])[None], counts)
     audit = dict(zip(AUDIT_KEYS, counts[0].tolist()))
     assert audit == {"waypoint_off_graph": 2, "move_not_neighbor": 2,
                      "move_too_fast": 3, "altitude_out_of_band": 1,
@@ -144,7 +143,7 @@ def test_audit_moves_counts_per_world():
     counts = np.zeros((3, len(AUDIT_KEYS)), dtype=int)
     states = np.array([[0, 1], [3, 0], [1, 1]])
     actions = np.array([[1, 2], [4, 7], [1, -2]])   # legal | too fast, off | off
-    _audit_moves(Lockstep([world] * 3), states, actions, counts)
+    _audit_moves(Lockstep([world] * 3), states[None], actions[None], counts)
     assert counts.tolist() == [[0, 0, 0, 0, 0], [1, 0, 1, 0, 0], [1, 0, 0, 0, 0]]
 
 
@@ -162,7 +161,7 @@ def test_episode_audit_equals_per_slot_calls(seed, n_slots, n_worlds, high):
     actions = rng.integers(-2, 8, (n_slots, n_worlds, cfg.n_uav))   # off the graph too
     per_slot = np.zeros((n_worlds, len(AUDIT_KEYS)), dtype=int)
     for s, a in zip(states, actions):
-        _audit_moves(batch, s, a, per_slot)
+        _audit_moves(batch, s[None], a[None], per_slot)
     episode = np.zeros_like(per_slot)
     _audit_moves(batch, states, actions, episode)
     assert episode.tolist() == per_slot.tolist()
@@ -219,26 +218,40 @@ def test_sweep_condenses_once_per_distinct_input(monkeypatch):
         assert len(calls) == want, method
 
 
-def test_unknown_method_rejected():
-    cfg = mk_cfg()
-    with pytest.raises(ValueError, match="unknown"):
-        condense_graph("pca", np.zeros((4, 2)), np.zeros((1, 2)),
-                       np.array([False]), cfg)
+def test_unknown_method_rejected(monkeypatch):
+    def never(cfg):
+        raise AssertionError("users drawn before the method was checked")
+
+    monkeypatch.setattr(sim, "drop_users", never)
+    with pytest.raises(ValueError, match="unknown condensation method: 'pca'"):
+        build_world(mk_cfg(), "pca")
 
 
-def test_start_states_spread_deterministic():
-    cfg = mk_cfg(n_centroids=10)
+def _start(world, seed):
+    """The fleet's start states: traj[0] of a one-slot episode."""
+    batch = Lockstep([world])
+    q = masked(np.zeros((1, world.cfg.n_uav) + world.graph.adj.shape), batch.adj)
+    audit = np.zeros((1, len(AUDIT_KEYS)), dtype=int)
+    _, traj = run_episode(batch, q, 0.0, [rng_stream(seed, "fading")],
+                          [rng_stream(seed, "egreedy")], learn=False, audit=audit)
+    return traj[0, 0].tolist()
+
+
+def test_spread_starts_deterministic():
+    cfg = mk_cfg(n_centroids=10, slots_per_episode=1)
     world, _ = build_world(cfg, "kmeans")
-    assert start_states(world, rng_stream(0, "egreedy")) == [0, 3, 6]
+    assert _start(world, 0) == [0, 3, 6]
 
 
-def test_start_states_random_in_range():
-    cfg = mk_cfg(uav_start="random")
+def test_random_starts_in_range():
+    cfg = mk_cfg(uav_start="random", slots_per_episode=1)
     world, _ = build_world(cfg, "kmeans")
-    a = start_states(world, rng_stream(4, "egreedy"))
-    b = start_states(world, rng_stream(4, "egreedy"))
+    a = _start(world, 4)
+    b = _start(world, 4)
     assert a == b
     assert all(0 <= s < cfg.n_centroids for s in a)
+    # the episode's first draw from the row's action stream
+    assert a == rng_stream(4, "egreedy").integers(cfg.n_centroids, size=cfg.n_uav).tolist()
 
 
 def test_train_report_structure():
