@@ -31,7 +31,8 @@ lo_v, hi_v = curve.min(), curve.max()
 for lo in range(0, len(curve), 50):
     chunk = curve[lo:lo + 50]
     v = chunk.mean()
-    bar = "#" * int(1 + 44 * (v - lo_v) / (hi_v - lo_v))
+    # a flat curve (one episode, say) draws full-width bars
+    bar = "#" * (int(1 + 44 * (v - lo_v) / (hi_v - lo_v)) if hi_v > lo_v else 45)
     print(f"ep {lo:3d}-{lo + len(chunk) - 1:3d}  eps {eps[lo]:.2f}  {v:8.1f}  {bar}")
 
 gain = curve[-50:].mean() - curve[:50].mean()

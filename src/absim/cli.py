@@ -92,10 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load(args) -> ScenarioConfig:
-    return load_config(args.config, seed=args.seed)
-
-
 def _outdir(args, cfg) -> str:
     out = args.out if args.out is not None else run_dir(cfg)
     try:
@@ -109,13 +105,13 @@ def cmd_config(args) -> int:
     if args.dump_defaults:
         cfg = ScenarioConfig()
     else:
-        cfg = _load(args)
+        cfg = load_config(args.config, seed=args.seed)
     print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_condense(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, seed=args.seed)
     out = _outdir(args, cfg)
     t0 = time.perf_counter()
     world, condense_time = build_world(cfg, args.method)
@@ -134,7 +130,7 @@ def cmd_condense(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, seed=args.seed)
     out = _outdir(args, cfg)
     res = train(cfg, args.method)
     rep = res.report
@@ -156,7 +152,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, seed=args.seed)
     if not os.path.isfile(args.qtable):
         raise ConfigError(f"Q-table snapshot missing or not a file: {args.qtable}")
     world, _ = build_world(cfg, args.method)
@@ -174,7 +170,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, seed=args.seed)
     for mu in args.mu:      # each value's config, checked before --out is made
         dataclasses.replace(cfg, mu_pr=mu).validate()
     out = _outdir(args, cfg)
@@ -187,7 +183,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, seed=args.seed)
     out = _outdir(args, cfg)
     results = compare_methods(cfg, n_seeds=args.seeds)
     reports = [res.report for m in METHODS for res in results[m]]

@@ -190,8 +190,8 @@ def reward(counts: np.ndarray, mu_pr, mu_nr) -> np.ndarray:
 
 
 def td_update(q: np.ndarray, states: np.ndarray, actions: np.ndarray,
-              rewards: np.ndarray, next_states: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """One Q-learning backup per UAV of every world; returns the new Q[s][a].
+              rewards: np.ndarray, next_states: np.ndarray, cfg: ScenarioConfig) -> None:
+    """One Q-learning backup per UAV of every world, in place.
 
     Shapes as in select_action. Every bootstrap max is read before any
     entry is written, so a hover backup sees its own old value.
@@ -199,9 +199,7 @@ def td_update(q: np.ndarray, states: np.ndarray, actions: np.ndarray,
     w, n = _index_arrays(*states.shape)
     nxt = np.maximum.reduce(q[w, n, next_states], axis=-1)
     y = rewards + cfg.zeta * nxt
-    new = (1.0 - cfg.alpha_q) * q[w, n, states, actions] + cfg.alpha_q * y
-    q[w, n, states, actions] = new
-    return new
+    q[w, n, states, actions] = (1.0 - cfg.alpha_q) * q[w, n, states, actions] + cfg.alpha_q * y
 
 
 def export_qtables(path, qtables: np.ndarray, graph: CondensedGraph) -> None:

@@ -279,37 +279,35 @@ def _evaluate(batch: Lockstep, q: np.ndarray) -> list:
     episodes; an EvalResult per world.
 
     Uses dedicated eval RNG streams, so evaluating inside training and
-    re-evaluating a loaded snapshot later give identical numbers. A world
-    runs up to EVAL_ROWS // len(batch) of its episodes at once, as rows of
-    one lockstep batch, each with its own copy of the world's tables: row
-    j of a round runs the round's j-th episode, and the rows draw from the
-    world's streams in that order, so each episode equals its run alone.
+    re-evaluating a loaded snapshot later give identical numbers. Each
+    world runs k (EVAL_ROWS // len(batch), at least 1) of its episodes at
+    once, as rows of one lockstep batch built once per call. Row j of a
+    round runs the round's j-th episode, drawing from the world's streams
+    in row order, so each episode equals its run alone. The last round's
+    rows past eval_episodes draw after the real ones and are dropped.
     """
-    cfg = batch.cfg
-    n = len(batch)
-    stack = max(1, min(cfg.eval_episodes, EVAL_ROWS // n))
-    rng_fading = [rng_stream(w.cfg.seed, "eval_fading") for w in batch.worlds]
-    rng_act = [rng_stream(w.cfg.seed, "eval_egreedy") for w in batch.worlds]
+    cfg, worlds = batch.cfg, batch.worlds
+    n, episodes = len(worlds), cfg.eval_episodes
+    k = max(1, min(episodes, EVAL_ROWS // n))
+    rows = np.repeat(np.arange(n), k)       # world by world, k episodes each
+    if k > 1:
+        batch, q = Lockstep([worlds[r] for r in rows]), q[rows]
+    rng_fading = [rng_stream(w.cfg.seed, "eval_fading") for w in worlds]
+    rng_act = [rng_stream(w.cfg.seed, "eval_egreedy") for w in worlds]
     audit = np.zeros((n, len(AUDIT_KEYS)), dtype=np.int64)
     # (world, columns, episodes), so each mean reduces a contiguous row
-    means = np.empty((n, len(EPISODE_COLUMNS), cfg.eval_episodes))
-    rounds = {1: (batch, q)}        # episodes per world -> the rows' batch and Q
-    for e in range(0, cfg.eval_episodes, stack):
-        k = min(stack, cfg.eval_episodes - e)
-        rows = np.repeat(np.arange(n), k)       # world by world, k episodes each
-        if k not in rounds:
-            rounds[k] = Lockstep([batch.worlds[r] for r in rows]), q[rows]
-        stacked, q_rows = rounds[k]
-        audit_rows = np.zeros((len(rows), len(AUDIT_KEYS)), dtype=np.int64)
-        table, traj = run_episode(stacked, q_rows, 0.0, [rng_fading[r] for r in rows],
+    means = np.empty((n, len(EPISODE_COLUMNS), episodes))
+    for e in range(0, episodes, k):
+        audit_rows = np.zeros((n * k, len(AUDIT_KEYS)), dtype=np.int64)
+        table, traj = run_episode(batch, q, 0.0, [rng_fading[r] for r in rows],
                                   [rng_act[r] for r in rows], learn=False, audit=audit_rows)
-        audit += audit_rows.reshape(n, k, -1).sum(axis=1)
-        means[:, :, e:e + k] = table.reshape(n, k, -1).transpose(0, 2, 1)
-    # each world's last episode is the last of its rows in the final round
-    paths = traj[:, k - 1::k].transpose(1, 2, 0).tolist()     # [world][uav][t]
+        audit += audit_rows.reshape(n, k, -1)[:, :episodes - e].sum(axis=1)
+        means[:, :, e:e + k] = table.reshape(n, k, -1).transpose(0, 2, 1)[..., :episodes - e]
+    # each world's last episode is row (episodes - 1) % k of the final round
+    paths = traj[:, (episodes - 1) % k::k].transpose(1, 2, 0).tolist()     # [world][uav][t]
     results = []
     for world, (_, net, pr, nr, rate), path, counts in zip(
-            batch.worlds, means.mean(axis=-1).tolist(), paths, audit.tolist()):
+            worlds, means.mean(axis=-1).tolist(), paths, audit.tolist()):
         xy = world.graph.centroids.tolist()
         results.append(EvalResult(
             outage={"network": net, "priority": pr, "regular": nr},
@@ -434,24 +432,19 @@ def sweep_mu(cfg: ScenarioConfig, mu_values: list, n_seeds: int = 1,
 # -- deterministic file output ---------------------------------------------
 
 
-def _f(x) -> str:
-    """Shortest round-trip float formatting (bit-exact on re-read)."""
-    return repr(float(x))
-
-
-def run_dir(cfg: ScenarioConfig, root: str | None = None) -> str:
-    """runs-root/<config-hash>-s<seed>; root from $ABSIM_OUT or ./runs."""
-    if root is None:
-        root = os.environ.get("ABSIM_OUT", "runs")
-    return os.path.join(root, f"{config_hash(cfg)}-s{cfg.seed}")
+def run_dir(cfg: ScenarioConfig) -> str:
+    """runs-root/<config-hash>-s<seed>; runs-root is $ABSIM_OUT or ./runs."""
+    return os.path.join(os.environ.get("ABSIM_OUT", "runs"), f"{config_hash(cfg)}-s{cfg.seed}")
 
 
 def _write_csv(path, header: str, rows) -> None:
-    """header, then one line per row; floats in _f form, other cells as str."""
+    """header, then one line per row; floats in shortest round-trip form
+    (np.float64's own repr names its type), other cells as str."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_f(c) if isinstance(c, float) else str(c) for c in row) + "\n")
+            fh.write(",".join(repr(float(c)) if isinstance(c, float) else str(c)
+                              for c in row) + "\n")
 
 
 def write_json(path, obj) -> None:
@@ -502,17 +495,10 @@ def write_timings_json(path, timings: dict) -> None:
     write_json(path, timings)
 
 
-def report_to_dict(report: RunReport) -> dict:
-    """report.json payload; wall-times stay out so bytes are reproducible."""
-    d = dict(report.__dict__)
-    d.pop("condense_time_s")
-    d.pop("rl_time_s")
-    d.pop("eval_time_s")
-    return d
-
-
 def write_report_json(path, report: RunReport) -> None:
-    write_json(path, report_to_dict(report))
+    """report.json; wall-times stay out so bytes are reproducible."""
+    write_json(path, {k: v for k, v in report.__dict__.items()
+                      if k not in ("condense_time_s", "rl_time_s", "eval_time_s")})
 
 
 def write_compare_learning_curves_csv(path, reports: list) -> None:

@@ -132,10 +132,11 @@ def brute_force_reward(n, assoc, outage, priority_mask, cfg):
 def td_step(q, s, a, r, s_next, cfg, feasible):
     """rl.td_update on one world's single-UAV (M, M) table q, read through
     the feasible mask (rl.masked); writes and returns the new Q[s][a]."""
-    new = td_update(masked(q, feasible)[None], np.array([[s]]), np.array([[a]]),
-                    np.array([[r]]), np.array([[s_next]]), cfg)
-    q[s, a] = new[0, 0]
-    return float(new[0, 0])
+    work = masked(q, feasible)[None]
+    td_update(work, np.array([[s]]), np.array([[a]]), np.array([[r]]),
+              np.array([[s_next]]), cfg)
+    q[s, a] = work[0, 0, s, a]
+    return float(q[s, a])
 
 
 def gathered_loss_slot(large_scale_db, fading, prev_assoc, cfg):

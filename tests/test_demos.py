@@ -33,3 +33,11 @@ def test_slow_demo_runs_at_tiny_size(name, capsys, monkeypatch):
                         functools.partial(scenario.ScenarioConfig, **TINY))
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_training_demo_runs_on_a_flat_learning_curve(capsys, monkeypatch):
+    # one episode: every learning-curve bin has the same reward
+    monkeypatch.setattr(scenario, "ScenarioConfig",
+                        functools.partial(scenario.ScenarioConfig, **{**TINY, "episodes": 1}))
+    runpy.run_path(str(DEMOS / "04_training_run.py"), run_name="__main__")
+    assert "#" * 45 in capsys.readouterr().out

@@ -16,7 +16,7 @@ from absim.radio import dbm_to_watt
 from absim.rl import masked
 from absim.scenario import config_hash
 from absim.sim import (AUDIT_KEYS, METHODS, Lockstep, _audit_moves, build_world,
-                       compare_methods, evaluate_policy, World, report_to_dict, run_dir,
+                       compare_methods, evaluate_policy, World, run_dir,
                        run_episode, sweep_mu, train, train_lockstep,
                        write_centroids_csv, write_compare_learning_curves_csv,
                        write_edges_csv, write_learning_curve_csv, write_outage_csv,
@@ -301,10 +301,10 @@ def test_trajectories_follow_the_graph(monkeypatch):
         assert np.allclose(res.world.graph.centroids[c], [x, y])
 
 
-def test_train_deterministic():
+def test_train_deterministic(tmp_path):
     cfg = mk_cfg()
-    a = report_to_dict(train(cfg, "snrp").report)
-    b = report_to_dict(train(cfg, "snrp").report)
+    a = _report_bytes(train(cfg, "snrp").report, tmp_path, "a")
+    b = _report_bytes(train(cfg, "snrp").report, tmp_path, "b")
     assert a == b
 
 
@@ -348,6 +348,22 @@ def test_stacked_evaluation_equals_one_episode_at_a_time(n_worlds, monkeypatch, 
     got = evaluate_policy(high, stacked[0].qtables)
     assert got == want
     assert got.audit["altitude_out_of_band"] == cfg.eval_episodes * cfg.slots_per_episode
+
+
+def test_evaluation_builds_one_stacked_batch(tiny_run, monkeypatch):
+    # 6 episodes of one world in rounds of 4: the caller's batch, then one
+    # stack of 4 rows for both rounds; the last round's 2 extra rows drop
+    world = dataclasses.replace(tiny_run.world,
+                                cfg=dataclasses.replace(tiny_run.world.cfg, eval_episodes=6))
+    built = []
+
+    def counted(worlds):
+        built.append(len(worlds))
+        return Lockstep(worlds)
+
+    monkeypatch.setattr(sim, "Lockstep", counted)
+    evaluate_policy(world, tiny_run.qtables)
+    assert built == [1, 4]
 
 
 def _report_bytes(report, tmp_path, name):
