@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .scenario import ScenarioConfig, ConfigError, load_config
+from .scenario import ConfigError, load_config
 from .sim import (METHODS, build_world, compare_methods, evaluate_policy,
                   run_dir, sweep_mu, train, write_anneal_trace_csv, write_centroids_csv,
                   write_compare_learning_curves_csv, write_edges_csv, write_json,
@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("config", help="print the resolved configuration")
     common(p, method=False, out=False)
-    p.add_argument("--dump-defaults", action="store_true",
-                   help="ignore --config and print built-in defaults")
     p.set_defaults(func=cmd_config)
     return ap
 
@@ -101,17 +99,12 @@ def _outdir(args, cfg) -> str:
     return out
 
 
-def cmd_config(args) -> int:
-    if args.dump_defaults:
-        cfg = ScenarioConfig()
-    else:
-        cfg = load_config(args.config, seed=args.seed)
+def cmd_config(args, cfg) -> int:
     print(json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
-def cmd_condense(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
+def cmd_condense(args, cfg) -> int:
     out = _outdir(args, cfg)
     t0 = time.perf_counter()
     world, condense_time = build_world(cfg, args.method)
@@ -129,8 +122,7 @@ def cmd_condense(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
+def cmd_train(args, cfg) -> int:
     out = _outdir(args, cfg)
     res = train(cfg, args.method)
     rep = res.report
@@ -151,8 +143,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
+def cmd_evaluate(args, cfg) -> int:
     if not os.path.isfile(args.qtable):
         raise ConfigError(f"Q-table snapshot missing or not a file: {args.qtable}")
     world, _ = build_world(cfg, args.method)
@@ -169,8 +160,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
+def cmd_sweep(args, cfg) -> int:
     for mu in args.mu:      # each value's config, checked before --out is made
         dataclasses.replace(cfg, mu_pr=mu).validate()
     out = _outdir(args, cfg)
@@ -182,8 +172,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
+def cmd_compare(args, cfg) -> int:
     out = _outdir(args, cfg)
     results = compare_methods(cfg, n_seeds=args.seeds)
     reports = [res.report for m in METHODS for res in results[m]]
@@ -205,7 +194,7 @@ def cmd_compare(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config, seed=args.seed))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

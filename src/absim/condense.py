@@ -12,7 +12,7 @@ Three interchangeable condensers:
 All three optimize or heuristically cover the same candidate cloud; they are
 compared by what the trajectory learner achieves on their graphs. Each takes
 the candidates BLOCK rows at a time and holds no candidate x centroid matrix,
-only O(N + BLOCK*M) floats, plus snrp's one (n_users, N) gain matrix.
+only O(N + BLOCK*M) floats (O(N + BLOCK*n_users) for snrp's proxy).
 """
 
 from __future__ import annotations
@@ -248,13 +248,14 @@ def snr_proxy(nodes: np.ndarray, users_xy: np.ndarray, priority_mask: np.ndarray
     """Priority-weighted mean linear gain if a UAV hovered at each candidate.
 
     Fading is left out (set to its unit mean); weights are mu_pr / mu_nr.
+    Each column adds its users in order (no BLAS; a one-column reduce is pairwise).
     """
-    gain = np.empty((len(users_xy), len(nodes)))  # (K, N0)
+    w = np.where(priority_mask, cfg.mu_pr, cfg.mu_nr)[:, None]
+    proxy = np.empty(len(nodes))
     for s in range(0, len(nodes), BLOCK):
         _, loss_db = link_matrix(nodes[s:s + BLOCK], users_xy, cfg)
-        gain[:, s:s + BLOCK] = db_to_linear(-loss_db)
-    w = np.where(priority_mask, cfg.mu_pr, cfg.mu_nr)
-    return w @ gain  # one product: per-block products round differently
+        proxy[s:s + BLOCK] = np.add.accumulate(w * db_to_linear(-loss_db))[-1]
+    return proxy
 
 
 def snrp_condense(nodes: np.ndarray, users_xy: np.ndarray, priority_mask: np.ndarray,

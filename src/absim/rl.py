@@ -190,14 +190,15 @@ def reward(counts: np.ndarray, mu_pr, mu_nr) -> np.ndarray:
 
 
 def td_update(q: np.ndarray, states: np.ndarray, actions: np.ndarray,
-              rewards: np.ndarray, next_states: np.ndarray, cfg: ScenarioConfig) -> None:
+              rewards: np.ndarray, cfg: ScenarioConfig) -> None:
     """One Q-learning backup per UAV of every world, in place.
 
-    Shapes as in select_action. Every bootstrap max is read before any
-    entry is written, so a hover backup sees its own old value.
+    Shapes as in select_action. The next state is the action, the centroid
+    moved to. Every bootstrap max is read before any entry is written, so a
+    hover backup sees its own old value.
     """
     w, n = _index_arrays(*states.shape)
-    nxt = np.maximum.reduce(q[w, n, next_states], axis=-1)
+    nxt = np.maximum.reduce(q[w, n, actions], axis=-1)
     y = rewards + cfg.zeta * nxt
     q[w, n, states, actions] = (1.0 - cfg.alpha_q) * q[w, n, states, actions] + cfg.alpha_q * y
 

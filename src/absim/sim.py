@@ -154,7 +154,7 @@ def run_slot(batch: Lockstep, q: np.ndarray, states: np.ndarray,
     counts = outage_stats(link.assoc, link.outage, batch.outage_keys, cfg.n_uav)
     rewards = reward(counts, batch.mu_pr, batch.mu_nr)
     if learn:
-        td_update(q, states, actions, rewards, actions, cfg)
+        td_update(q, states, actions, rewards, cfg)
     return actions, link, counts, rewards
 
 

@@ -129,12 +129,12 @@ def brute_force_reward(n, assoc, outage, priority_mask, cfg):
     return -(cfg.mu_pr * (pr_out + pr_frac) + cfg.mu_nr * (nr_out + nr_frac))
 
 
-def td_step(q, s, a, r, s_next, cfg, feasible):
+def td_step(q, s, a, r, cfg, feasible):
     """rl.td_update on one world's single-UAV (M, M) table q, read through
-    the feasible mask (rl.masked); writes and returns the new Q[s][a]."""
+    the feasible mask (rl.masked), moving s -> a; writes and returns the new
+    Q[s][a]."""
     work = masked(q, feasible)[None]
-    td_update(work, np.array([[s]]), np.array([[a]]), np.array([[r]]),
-              np.array([[s_next]]), cfg)
+    td_update(work, np.array([[s]]), np.array([[a]]), np.array([[r]]), cfg)
     q[s, a] = work[0, 0, s, a]
     return float(q[s, a])
 
@@ -216,10 +216,11 @@ def distortion_one_shot(nodes, centroids) -> float:
 
 
 def snr_proxy_one_shot(nodes, users_xy, priority_mask, cfg) -> np.ndarray:
-    """condense.snr_proxy from one (K, N) loss matrix, no blocks."""
+    """condense.snr_proxy from one (K, N) loss matrix, no blocks: each
+    candidate's weighted gains added user by user."""
     _, loss_db = link_matrix(nodes, users_xy, cfg)
-    w = np.where(priority_mask, cfg.mu_pr, cfg.mu_nr)
-    return w @ db_to_linear(-loss_db)
+    w = np.where(priority_mask, cfg.mu_pr, cfg.mu_nr)[:, None]
+    return np.add.accumulate(w * db_to_linear(-loss_db), axis=0)[-1]
 
 
 def snrp_picks(nodes, users_xy, priority_mask, cfg) -> list:

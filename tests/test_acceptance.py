@@ -155,7 +155,7 @@ def test_criterion_08_q_learning_chain_oracle():
     pairs = [(s, int(a)) for s in range(5) for a in neighbors(graph)[s]]
     for k in range(10_000):
         s, a = pairs[k % len(pairs)]
-        td_step(q, s, a, reward_of(a), a, cfg, feasible)
+        td_step(q, s, a, reward_of(a), cfg, feasible)
 
     v = np.zeros(5)
     for _ in range(5000):

@@ -27,8 +27,11 @@ def tiny_config(tmp_path):
 
 
 def test_config_dump_defaults(capsys):
-    assert main(["config", "--dump-defaults"]) == 0
-    got = json.loads(capsys.readouterr().out)
+    # without --config, config prints the built-in defaults
+    assert main(["config"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(ScenarioConfig().to_dict(), indent=2, sort_keys=True) + "\n"
+    got = json.loads(out)
     assert got["n_uav"] == 3
     assert got["n_users"] == 100
     assert got["n_centroids"] == 33
@@ -247,10 +250,12 @@ def test_sweep_row_count(tiny_config, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sweep_rejects_bad_mu_list(tiny_config):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", tiny_config, "--mu", "a,b"])
-    assert exc.value.code == 2
+def test_sweep_rejects_bad_mu_list(tiny_config, capsys):
+    for mu, why in [("a,b", "bad mu list"), (",", "mu list is empty")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", tiny_config, "--mu", mu])
+        assert exc.value.code == 2
+        assert why in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mu", ["-5", "0", "nan", "inf", "20,-inf"])

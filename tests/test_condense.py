@@ -106,7 +106,7 @@ def _traced_peak(fn) -> int:
 def test_condensers_hold_no_candidate_by_centroid_matrix():
     # one full float64 matrix is 3.3 MiB (N x M) or 2.7 MiB (K x N); with
     # whole matrices the peaks were 6.8 (qa), 10.1 (kmeans), 6.7 (distortion)
-    # and 22.0 MiB (snr_proxy)
+    # and 22.0 MiB (snr_proxy), and 4.9 MiB with snr_proxy's one gain matrix
     cfg = mk_cfg(**WIDE, anneal_i_max=3)
     nodes = generate_candidates(cfg)
     xy, mask = drop_users(cfg)
@@ -116,8 +116,8 @@ def test_condensers_hold_no_candidate_by_centroid_matrix():
     assert _traced_peak(lambda: qa_condense(nodes, cfg)) < n_by_m
     assert _traced_peak(lambda: kmeans_condense(nodes, cfg)) < n_by_m
     assert _traced_peak(lambda: distortion(nodes, centroids)) < n_by_m
-    assert _traced_peak(lambda: snr_proxy(nodes, xy, mask, cfg)) < 2 * gain
-    assert _traced_peak(lambda: snrp_condense(nodes, xy, mask, cfg)) < 2 * gain
+    assert _traced_peak(lambda: snr_proxy(nodes, xy, mask, cfg)) < gain
+    assert _traced_peak(lambda: snrp_condense(nodes, xy, mask, cfg)) < gain
 
 
 def test_distortion_matches_nested_loop():
@@ -269,6 +269,21 @@ def test_kmeans_two_clusters():
     got = sorted(map(tuple, graph.centroids))
     want = sorted([tuple(a.mean(axis=0)), tuple(b.mean(axis=0))])
     assert np.allclose(got, want, atol=0.2)
+
+
+def test_kmeans_empty_cluster_seizes_the_worst_quantized_point():
+    # with every candidate doubled, two starting centroids can share a spot;
+    # the later one loses every tie, serves no candidate and must seize one
+    cfg = mk_cfg(n_candidates=20, n_centroids=8)
+    base = np.random.default_rng(0).uniform(0.0, 1000.0, (10, 2))
+    nodes = np.concatenate([base, base])
+    shared = 0
+    for seed in range(20):
+        starts = nodes[rng_stream(seed, "condense").choice(20, size=8, replace=False)]
+        shared += len(np.unique(starts, axis=0)) < 8
+        graph = kmeans_condense(nodes, dataclasses.replace(cfg, seed=seed))
+        assert len(np.unique(vq(nodes, graph.centroids)[0])) == 8, seed
+    assert shared == 18
 
 
 def test_kmeans_single_centroid_is_global_mean():

@@ -1,7 +1,8 @@
 """Every module under src/, tests/ and demos/ uses each name it imports,
 every module-level def or class in src/ has a caller in src/ or perfbench/,
-no module in src/ imports another's underscore name or calls the built-in
-sum(), and importing absim loads neither scipy nor scikit-learn."""
+no module in src/ imports another's underscore name, calls the built-in
+sum() or makes a matrix product, and importing absim loads neither scipy nor
+scikit-learn."""
 
 import ast
 import os
@@ -127,6 +128,42 @@ def test_src_calls_no_builtin_sum():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "sum"]
     assert calls == []
+
+
+MATRIX_PRODUCTS = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
+
+
+def matrix_products(source: str) -> list:
+    """(line, what) of each matrix product in source: an @ or @= operator,
+    or a name or attribute among MATRIX_PRODUCTS, imported or read."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in MATRIX_PRODUCTS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in MATRIX_PRODUCTS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in MATRIX_PRODUCTS]
+    return sorted(found)
+
+
+def test_matrix_product_scan():
+    source = ("from numpy import vdot\nimport numpy as np\nc = a @ b\nc @= b\n"
+              "d = np.einsum('ij,j', a, b)\ne = a.dot(b)\nf = np.add.reduce(a * b)\n"
+              "g = np.linalg.matmul(a, b)\nh = inner(a, b)\n")
+    assert matrix_products(source) == [(1, "vdot"), (3, "@"), (4, "@"), (5, "einsum"),
+                                       (6, "dot"), (8, "matmul"), (9, "inner")]
+
+
+def test_src_makes_no_matrix_product():
+    # numpy hands a matrix product to BLAS, whose kernel (and so whose
+    # rounding) OpenBLAS picks per CPU; absim's bytes must not depend on it
+    found = [(str(p.relative_to(ROOT)), line, what)
+             for p in PRODUCTION if p.is_relative_to(ROOT / "src")
+             for line, what in matrix_products(p.read_text())]
+    assert found == []
 
 
 def test_absim_runs_on_numpy_alone():

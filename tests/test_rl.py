@@ -302,7 +302,7 @@ def test_td_update_hand_step():
     cfg = dataclasses.replace(cfg, alpha_q=0.5, zeta=0.9)
     q = np.zeros((3, 3))
     q[2, neighbors(graph)[2]] = [0.0, 4.0]      # state 2 neighbors: [1, 2]
-    new = td_step(q, 1, 2, -1.0, 2, cfg, feasible)
+    new = td_step(q, 1, 2, -1.0, cfg, feasible)
     assert new == pytest.approx(0.5 * (-1.0 + 0.9 * 4.0))
     assert q[1, 2] == pytest.approx(new)
 
@@ -312,10 +312,10 @@ def test_td_update_degenerate_rates():
     cfg, graph, feasible = _chain(3)
     q = np.zeros((3, 3))
     myopic = dataclasses.replace(cfg, alpha_q=1.0, zeta=0.0)
-    assert td_step(q, 0, 1, -7.0, 1, myopic, feasible) == -7.0
+    assert td_step(q, 0, 1, -7.0, myopic, feasible) == -7.0
     frozen = dataclasses.replace(cfg, alpha_q=1e-300)   # effectively no step
     before = q[1, 0]
-    td_step(q, 1, 0, -5.0, 0, frozen, feasible)
+    td_step(q, 1, 0, -5.0, frozen, feasible)
     assert q[1, 0] == pytest.approx(before)
 
 
@@ -326,7 +326,7 @@ def test_td_update_hover_reads_old_value():
     cfg = dataclasses.replace(cfg, alpha_q=0.5, zeta=0.9)
     q = np.zeros((3, 3))
     q[1, 1] = 10.0
-    assert td_step(q, 1, 1, 0.0, 1, cfg, feasible) == 0.5 * 10.0 + 0.5 * (0.9 * 10.0)
+    assert td_step(q, 1, 1, 0.0, cfg, feasible) == 0.5 * 10.0 + 0.5 * (0.9 * 10.0)
 
 
 def _value_iteration(graph, cfg, reward_of):
@@ -354,7 +354,7 @@ def test_chain_mdp_matches_value_iteration():
     for _ in range(300):
         for s in range(graph.n_centroids):
             for a in neighbors(graph)[s]:
-                td_step(q, s, int(a), reward_of(int(a)), int(a), cfg, feasible)
+                td_step(q, s, int(a), reward_of(int(a)), cfg, feasible)
 
     _, q_star = _value_iteration(graph, cfg, reward_of)
     for s in range(graph.n_centroids):
