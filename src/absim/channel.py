@@ -13,7 +13,8 @@ with kappa_* the linear excess-loss factors and K0 the reference loss at
 kappa_* from its dB fields kappa_los_db and kappa_nlos_db, K0 from
 ref_loss_k0_value() and h from altitude_m. Small-scale fading is unit-mean
 exponential power fading applied multiplicatively to the linear gain
-10^(-L_eff/10).
+10^(-L_eff/10). The planar part of d comes from sq_dist, absim's one
+distance kernel, which condense and sim.Lockstep also use.
 """
 
 from __future__ import annotations
@@ -21,6 +22,16 @@ from __future__ import annotations
 import numpy as np
 
 from .scenario import ScenarioConfig
+
+
+def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances between 2-D points, dx*dx + dy*dy."""
+    dx = np.subtract.outer(a[:, 0], b[:, 0])
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
 
 
 def los_probability(theta_deg, cfg: ScenarioConfig):
@@ -48,7 +59,6 @@ def sample_fading(rng: np.random.Generator, size=None):
 def link_matrix(uav_xy: np.ndarray, users_xy: np.ndarray,
                 cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """(n_users, n_uav) distances and large-scale losses for a whole slot."""
-    diff = users_xy[:, None, :] - uav_xy[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=2) + cfg.altitude_m ** 2)
+    d = np.sqrt(sq_dist(users_xy, uav_xy) + cfg.altitude_m ** 2)
     theta = np.degrees(np.arcsin(cfg.altitude_m / d))
     return d, effective_path_loss_db(d, theta, cfg)

@@ -11,8 +11,9 @@ Three interchangeable condensers:
 
 All three optimize or heuristically cover the same candidate cloud; they are
 compared by what the trajectory learner achieves on their graphs. Each takes
-the candidates BLOCK rows at a time and holds no candidate x centroid matrix,
-only O(N + BLOCK*M) floats (O(N + BLOCK*n_users) for snrp's proxy).
+the candidates BLOCK rows at a time, measures them with channel.sq_dist and
+holds no candidate x centroid matrix, only O(N + BLOCK*M) floats
+(O(N + BLOCK*n_users) for snrp's proxy).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import ScenarioConfig, rng_stream
-from .channel import link_matrix
+from .channel import link_matrix, sq_dist
 from .radio import db_to_linear
 
 # annealing stops once the best distortion moved less than STOP_TOL over the
@@ -56,16 +57,6 @@ class CondensedGraph:
         """(src, dst, virtual) per edge of adj with src < dst, row-major."""
         iu, ju = np.nonzero(np.triu(self.adj, 1))
         return list(zip(iu.tolist(), ju.tolist(), self.virtual[iu, ju].tolist()))
-
-
-def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) squared distances between 2-D points, dx*dx + dy*dy."""
-    dx = np.subtract.outer(a[:, 0], b[:, 0])
-    dy = np.subtract.outer(a[:, 1], b[:, 1])
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
 
 
 def _nearest(nodes: np.ndarray, centroids: np.ndarray):
@@ -172,11 +163,9 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
 
     temp = cfg.anneal_t0
     per_temp = cfg.proposals_per_temp or m_cent
-    tr_temp, tr_cur, tr_best, tr_acc = [], [], [], []
+    trace = []
     n_acc = 0
-
-    steps = 0
-    while temp >= cfg.anneal_t_min and steps < cfg.anneal_i_max:
+    while temp >= cfg.anneal_t_min and len(trace) < cfg.anneal_i_max:
         for _ in range(per_temp):
             m, new = _draw_move(centroids, nodes, rng, cfg)
             np.subtract(node_x, new[0], out=col)
@@ -199,22 +188,14 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
                     best = cur
                     best_c = centroids.copy()
         temp *= cfg.anneal_rho
-        steps += 1
-        tr_temp.append(temp)
-        tr_cur.append(cur)
-        tr_best.append(best)
-        tr_acc.append(n_acc)
-        if steps > STOP_WINDOW and tr_best[-1 - STOP_WINDOW] - best < STOP_TOL:
+        trace.append((temp, cur, best, n_acc))
+        if len(trace) > STOP_WINDOW and trace[-1 - STOP_WINDOW][2] - best < STOP_TOL:
             break
 
     graph = build_adjacency(best_c, cfg, method="qa", dist=best)
     graph.init_distortion = init
-    graph.trace = {
-        "temperature": np.array(tr_temp),
-        "current": np.array(tr_cur),
-        "best": np.array(tr_best),
-        "accepted": np.array(tr_acc),
-    }
+    columns = zip(*trace) if trace else [()] * 4    # no step: four empty float64 columns
+    graph.trace = dict(zip(("temperature", "current", "best", "accepted"), map(np.array, columns)))
     return graph
 
 
@@ -277,7 +258,7 @@ def snrp_condense(nodes: np.ndarray, users_xy: np.ndarray, priority_mask: np.nda
         if near[i] < d_sep ** 2:
             d_sep = d_sep * 0.8 if d_sep * 0.8 >= 1e-9 else 0.0
             continue
-        np.minimum(near, ((ranked - ranked[i]) ** 2).sum(axis=1), out=near)
+        np.minimum(near, sq_dist(ranked, ranked[i:i + 1])[:, 0], out=near)
         near[i] = -np.inf
         picks.append(i)
     centroids = ranked[picks]

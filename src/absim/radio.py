@@ -68,10 +68,9 @@ def link_tables(loss_db: np.ndarray, cfg: ScenarioConfig) -> LinkTables:
                       noise_w=dbm_to_watt(cfg.noise_dbm), gamma_lin=db_to_linear(cfg.gamma_th_db))
 
 
-def rate_bps(sinr_lin, bandwidth_hz: float, out=None):
-    """Shannon rate; with out, which may be sinr_lin itself, computed there."""
-    log2 = np.log2(np.add(1.0, sinr_lin, out=out), out=out)
-    return np.multiply(bandwidth_hz, log2, out=out)
+def rate_bps(sinr_lin, bandwidth_hz: float):
+    """Shannon rate B log2(1 + SINR) in bit/s."""
+    return bandwidth_hz * np.log2(1.0 + sinr_lin)
 
 
 @lru_cache(maxsize=16)

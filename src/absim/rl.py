@@ -180,8 +180,8 @@ def reward(counts: np.ndarray, mu_pr, mu_nr) -> np.ndarray:
     counts is radio.outage_stats' table, users by [clear, outage]
     [regular, priority][ABS], with optional leading world axes; mu_pr and
     mu_nr broadcast against the (..., n_uav) result, so lockstep worlds may
-    weigh differently. A fraction is over the class's users served by that
-    ABS, 0 if it serves none. Every total is non-positive.
+    weigh priority differently. A fraction is over the class's users served
+    by that ABS, 0 if it serves none. Every total is non-positive.
     """
     out = counts[..., 1, :, :]
     served = counts[..., 0, :, :] + out

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .scenario import ScenarioConfig, config_hash, drop_users, generate_candidates, rng_stream
-from .channel import link_matrix, sample_fading
+from .channel import link_matrix, sample_fading, sq_dist
 from .radio import (dbm_to_watt, evaluate_slot, link_tables, outage_fractions, outage_keys,
                     outage_stats, rate_bps)
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
@@ -51,7 +51,7 @@ _OFF_GRAPH, _NOT_NEIGHBOR, _TOO_FAST, _ALTITUDE, _POWER = range(len(AUDIT_KEYS))
 _MOVE_BITS = ((4, _OFF_GRAPH), (1, _NOT_NEIGHBOR), (2, _TOO_FAST))
 
 # config fields in which worlds stepped in lockstep may differ
-WORLD_FIELDS = ("seed", "mu_pr", "mu_nr")
+WORLD_FIELDS = ("seed", "mu_pr")
 
 # lockstep rows of greedy evaluation: each world stacks up to
 # EVAL_ROWS // worlds of its episodes. Every row holds its own tables and
@@ -99,9 +99,9 @@ class Lockstep:
     leading row axis, one copy per row even where rows hold the same world
     (jobs sharing a condensation, stacked evaluation episodes). Every slot
     stage is one call for all rows. The worlds must agree on every config
-    field but WORLD_FIELDS, which gives them the same array shapes and the
-    same epsilon schedule. Each row keeps its own RNG streams, so its
-    results are those of running it alone.
+    field but WORLD_FIELDS, the seed and mu_pr, so they share array shapes,
+    the epsilon schedule and mu_nr. Each row keeps its own RNG streams, so
+    its results are those of running it alone.
     """
 
     def __init__(self, worlds: list):
@@ -122,14 +122,12 @@ class Lockstep:
         # [row, s, a] audit bits of a move: 1 no edge, 2 beyond one slot's
         # flight by raw distance and no virtual bridge, decided apart from
         # adj; column M stands for every target off the graph (bit 4)
-        cents = np.stack([w.graph.centroids for w in worlds])
-        dist = np.linalg.norm(cents[:, :, None, :] - cents[:, None, :, :], axis=-1)
+        dist = np.sqrt(np.stack([sq_dist(w.graph.centroids, w.graph.centroids) for w in worlds]))
         flight = (dist <= cfg.move_radius_m() + 1e-9) | np.stack([w.graph.virtual for w in worlds])
         self.move_flags = np.full((len(worlds), m, m + 1), 4, dtype=np.uint8)
         self.move_flags[:, :, :m] = ~self.adj + 2 * ~flight
         self.p_cap_w = dbm_to_watt(cfg.p_max_dbm) * (1.0 + 1e-12)
         self.mu_pr = np.array([[w.cfg.mu_pr] for w in worlds])
-        self.mu_nr = np.array([[w.cfg.mu_nr] for w in worlds])
 
     def __len__(self) -> int:
         return len(self.worlds)
@@ -152,7 +150,7 @@ def run_slot(batch: Lockstep, q: np.ndarray, states: np.ndarray,
     actions = select_action(q, states, draws, t)
     link = evaluate_slot(batch.links, actions, fading, prev_assoc)
     counts = outage_stats(link.assoc, link.outage, batch.outage_keys, cfg.n_uav)
-    rewards = reward(counts, batch.mu_pr, batch.mu_nr)
+    rewards = reward(counts, batch.mu_pr, cfg.mu_nr)
     if learn:
         td_update(q, states, actions, rewards, cfg)
     return actions, link, counts, rewards
@@ -229,7 +227,7 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     slots = np.empty((len(batch), len(EPISODE_COLUMNS), n_slots))
     slots[:, 0] = np.add.accumulate(rewards, axis=-1)[..., -1] + 0.0
     slots[:, 1:4] = outage_fractions(counts).transpose(0, 2, 1)
-    slots[:, 4] = rate_bps(sinrs, cfg.bandwidth_hz, out=sinrs).sum(axis=-1) / cfg.n_users
+    slots[:, 4] = rate_bps(sinrs, cfg.bandwidth_hz).sum(axis=-1) / cfg.n_users
     return slots.mean(axis=-1), traj
 
 

@@ -9,11 +9,15 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from absim import sim
-from absim.channel import link_matrix
+from absim.channel import effective_path_loss_db, link_matrix
 from absim.condense import _draw_move, snr_proxy, sq_dist
 from absim.radio import dbm_to_watt, db_to_linear
 from absim.rl import masked, td_update
 from absim.scenario import ScenarioConfig
+
+
+# the condense-wide benchmark workload's size: N = 3600, M = 120, K = 100
+WIDE = dict(x_max=2800.0, y_max=2800.0, n_users=100, n_candidates=3600, n_centroids=120)
 
 
 def mk_cfg(**overrides) -> ScenarioConfig:
@@ -179,6 +183,21 @@ def link_geometry(uav_pos, user_pos) -> LinkGeometry:
     d = math.sqrt((ux - gx) ** 2 + (uy - gy) ** 2 + uh ** 2)
     theta = math.degrees(math.asin(uh / d))
     return LinkGeometry(distance_m=d, theta_deg=theta)
+
+
+def link_matrix_broadcast(uav_xy, users_xy, cfg):
+    """channel.link_matrix with its distances from one (n_users, n_uav, 2)
+    difference array, (diff ** 2).sum(axis=2): the broadcast form of sq_dist."""
+    diff = users_xy[:, None, :] - uav_xy[None, :, :]
+    d = np.sqrt((diff ** 2).sum(axis=2) + cfg.altitude_m ** 2)
+    theta = np.degrees(np.arcsin(cfg.altitude_m / d))
+    return d, effective_path_loss_db(d, theta, cfg)
+
+
+def flight_distances_norm(centroids):
+    """(S, M, M) distances between each row's (M, 2) centroids, np.linalg.norm
+    of one (S, M, M, 2) difference array: the broadcast form of sim.Lockstep's."""
+    return np.linalg.norm(centroids[:, :, None, :] - centroids[:, None, :, :], axis=-1)
 
 
 def channel_gain(loss_db, fading):

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absim.channel import effective_path_loss_db, link_matrix, los_probability, sample_fading
-from absim.scenario import rng_stream
-from helpers import channel_gain, link_geometry, mk_cfg
+from absim.condense import BLOCK
+from absim.scenario import ScenarioConfig, drop_users, generate_candidates, rng_stream
+from helpers import WIDE, channel_gain, link_geometry, link_matrix_broadcast, mk_cfg
 
 P = mk_cfg()
 
@@ -174,3 +175,26 @@ def test_link_matrix_matches_scalar_path():
             assert d[k, n] == pytest.approx(g.distance_m, rel=1e-12)
             want = effective_path_loss_db(g.distance_m, g.theta_deg, cfg)
             assert loss[k, n] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_link_matrix_equals_broadcast_form_bit_for_bit(n):
+    cfg = mk_cfg()
+    rng = np.random.default_rng(n)
+    uav_xy = rng.uniform(-cfg.x_max, 2 * cfg.x_max, (n, 2))
+    users_xy = rng.uniform(0.0, cfg.x_max, (n, 2))
+    users_xy[:1] = uav_xy[:1]       # one link straight overhead: planar distance 0
+    for got, want in zip(link_matrix(uav_xy, users_xy, cfg),
+                         link_matrix_broadcast(uav_xy, users_xy, cfg)):
+        assert got.shape == (n, n)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", [{}, WIDE], ids=["reference", "condense-wide"])
+def test_link_matrix_equals_broadcast_form_on_the_benchmark_configs(size):
+    cfg = dataclasses.replace(ScenarioConfig(), **size)
+    nodes = generate_candidates(cfg)
+    users_xy, _ = drop_users(cfg)
+    for got, want in zip(link_matrix(nodes, users_xy, cfg),
+                         link_matrix_broadcast(nodes, users_xy, cfg)):
+        assert got.tobytes() == want.tobytes()

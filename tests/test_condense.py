@@ -12,15 +12,14 @@ from scipy.cluster.vq import kmeans2, vq
 from scipy.spatial.distance import cdist, pdist
 
 from absim import condense
+from absim.channel import link_matrix
 from absim.condense import (BLOCK, accept, build_adjacency, distortion, kmeans_condense,
                             qa_condense, snr_proxy, snrp_condense, sq_dist)
-from absim.scenario import drop_users, generate_candidates, rng_stream
+from absim.scenario import ScenarioConfig, drop_users, generate_candidates, rng_stream
 from absim.sim import METHODS, train_lockstep
-from helpers import (build_adjacency_one_pass, distortion_one_shot, greedy_bridge_adjacency,
-                     mk_cfg, neighbors, propose, snr_proxy_one_shot, snrp_picks)
-
-# the condense-wide benchmark workload's size: N = 3600, M = 120, K = 100
-WIDE = dict(x_max=2800.0, y_max=2800.0, n_users=100, n_candidates=3600, n_centroids=120)
+from helpers import (WIDE, build_adjacency_one_pass, distortion_one_shot,
+                     greedy_bridge_adjacency, mk_cfg, neighbors, propose, snr_proxy_one_shot,
+                     snrp_picks)
 
 
 def test_distortion_hand_values():
@@ -120,6 +119,15 @@ def test_condensers_hold_no_candidate_by_centroid_matrix():
     assert _traced_peak(lambda: snrp_condense(nodes, xy, mask, cfg)) < gain
 
 
+def test_link_matrix_block_holds_fewer_than_eight_output_sized_arrays():
+    # one BLOCK x 100-user block returns two 0.195 MiB arrays; with an
+    # (N, K, 2) difference array and its square the peak was 9.0 of them
+    cfg = mk_cfg(**WIDE)
+    block = generate_candidates(cfg)[:BLOCK]
+    xy, _ = drop_users(cfg)
+    assert _traced_peak(lambda: link_matrix(block, xy, cfg)) < 8 * BLOCK * len(xy) * 8
+
+
 def test_distortion_matches_nested_loop():
     rng = np.random.default_rng(0)
     v = rng.uniform(0, 100, (40, 2))
@@ -215,6 +223,33 @@ def test_qa_trace_best_is_monotone():
     assert (np.diff(best) <= 0).all()
     assert (graph.trace["current"] >= best - 1e-9).all()
     assert graph.trace["accepted"][-1] >= 1
+
+
+@pytest.mark.parametrize("stop, overrides, rows", [
+    ("i_max", dict(anneal_i_max=7), 7),
+    ("t_min", dict(anneal_t_min=96.0), 1),     # T0 = 100 cools to 95 after one step
+    ("reference", {}, None),                   # cools below anneal_t_min first
+    ("window", dict(n_candidates=100, n_centroids=10), None),
+    ("no_step", dict(anneal_t0=1e-4), 0),      # T0 < T_min: config_from_dict would refuse it
+], ids=["i_max", "t_min", "reference", "window", "no_step"])
+def test_qa_trace_has_one_row_per_step_whichever_rule_stops(stop, overrides, rows):
+    cfg = dataclasses.replace(ScenarioConfig(), **overrides)     # unvalidated, for no_step
+    trace = qa_condense(generate_candidates(cfg), cfg).trace
+    assert list(trace) == ["temperature", "current", "best", "accepted"]
+    lengths = {len(col) for col in trace.values()}
+    assert len(lengths) == 1
+    n = lengths.pop()
+    temperature, best = trace["temperature"], trace["best"]
+    if stop == "reference":
+        assert temperature[-1] < cfg.anneal_t_min <= temperature[-2]
+    elif stop == "window":  # the best distortion stalled over the last STOP_WINDOW steps
+        assert condense.STOP_WINDOW < n < cfg.anneal_i_max
+        assert temperature[-1] >= cfg.anneal_t_min
+        assert best[-1 - condense.STOP_WINDOW] - best[-1] < condense.STOP_TOL
+    else:
+        assert n == rows
+    accepted = np.float64 if n == 0 else np.int64      # np.array([]) is float64
+    assert [col.dtype for col in trace.values()] == [np.float64] * 3 + [accepted]
 
 
 @pytest.mark.parametrize("n_centroids,n_candidates", [(9, 100), (1, 100), (1, BLOCK + 44)],

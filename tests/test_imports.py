@@ -1,7 +1,8 @@
 """Every module under src/, tests/ and demos/ uses each name it imports,
 every module-level def or class in src/ has a caller in src/ or perfbench/,
 no module in src/ imports another's underscore name, calls the built-in
-sum() or makes a matrix product, and importing absim loads neither scipy nor
+sum(), makes a matrix product or computes a planar distance other than
+through channel.sq_dist, and importing absim loads neither scipy nor
 scikit-learn."""
 
 import ast
@@ -163,6 +164,41 @@ def test_src_makes_no_matrix_product():
     found = [(str(p.relative_to(ROOT)), line, what)
              for p in PRODUCTION if p.is_relative_to(ROOT / "src")
              for line, what in matrix_products(p.read_text())]
+    assert found == []
+
+
+def distance_formulas(source: str) -> list:
+    """(line, what) of each planar distance that source computes itself: a
+    name or attribute norm (np.linalg.norm), or the .sum( of a square x ** 2."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "norm"
+                or isinstance(node, ast.Name) and node.id == "norm"):
+            found.append((node.lineno, "norm"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "sum" and isinstance(node.func.value, ast.BinOp)
+              and isinstance(node.func.value.op, ast.Pow)
+              and isinstance(node.func.value.right, ast.Constant)
+              and node.func.value.right.value == 2):
+            found.append((node.lineno, "sum of squares"))
+    return sorted(found)
+
+
+def test_distance_formula_scan():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\n"
+              "d = np.linalg.norm(a - b, axis=-1)\ne = ((a - b) ** 2).sum(axis=1)\n"
+              "f = (diff ** 2).sum(axis=2)\ng = (a ** 3).sum()\nh = sq_dist(a, b) + c ** 2\n"
+              "k = np.add.reduce(a * a)\n")
+    assert distance_formulas(source) == [(3, "norm"), (4, "sum of squares"),
+                                         (5, "sum of squares")]
+
+
+def test_src_takes_planar_distances_only_from_sq_dist():
+    # channel.sq_dist is the one distance kernel; another formula may round
+    # differently, and it held the broadcast temporaries sq_dist does not
+    found = [(str(p.relative_to(ROOT)), line, what)
+             for p in PRODUCTION if p.is_relative_to(ROOT / "src")
+             for line, what in distance_formulas(p.read_text())]
     assert found == []
 
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absim.channel import link_matrix, sample_fading
+from absim.channel import link_matrix, sample_fading, sq_dist
 from absim import sim
-from absim.condense import CondensedGraph
+from absim.condense import BLOCK, CondensedGraph, build_adjacency
 from absim.radio import dbm_to_watt
 from absim.rl import masked
-from absim.scenario import config_hash
+from absim.scenario import ScenarioConfig, config_hash
 from absim.sim import (AUDIT_KEYS, METHODS, Lockstep, _audit_moves, build_world,
                        compare_methods, evaluate_policy, World, run_dir,
                        run_episode, sweep_mu, train, train_lockstep,
@@ -23,7 +23,7 @@ from absim.sim import (AUDIT_KEYS, METHODS, Lockstep, _audit_moves, build_world,
                        write_report_json, write_summary_md, write_sweep_csv,
                        write_timings_json, write_trajectory_csv)
 from absim.scenario import rng_stream
-from helpers import mk_cfg, record_training_paths
+from helpers import WIDE, flight_distances_norm, mk_cfg, record_training_paths
 
 
 def test_build_world_wiring():
@@ -417,6 +417,32 @@ def test_lockstep_rejects_worlds_of_different_shape():
     b, _ = build_world(mk_cfg(n_users=20), "kmeans")
     with pytest.raises(ValueError, match="may differ only in"):
         Lockstep([a, b])
+    # every row reads one mu_nr, so worlds may not differ in it either
+    c, _ = build_world(mk_cfg(mu_nr=2.0), "kmeans")
+    with pytest.raises(ValueError, match="may differ only in seed, mu_pr$"):
+        Lockstep([a, c])
+
+
+@pytest.mark.parametrize("case", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, "reference", "condense-wide"])
+def test_lockstep_flight_table_equals_norm_form(case):
+    if isinstance(case, int):       # two rows of `case` random centroids each
+        cfg = mk_cfg()
+        rng = np.random.default_rng(case)
+        worlds = [World(cfg, rng.uniform(0.0, cfg.x_max, (cfg.n_users, 2)),
+                        np.arange(cfg.n_users) < 5,
+                        build_adjacency(rng.uniform(0.0, cfg.x_max, (case, 2)), cfg))
+                  for _ in range(2)]
+    else:
+        cfg = dataclasses.replace(ScenarioConfig(), **({} if case == "reference" else WIDE))
+        worlds = [build_world(cfg, "snrp")[0]]
+    batch = Lockstep(worlds)
+    cents = np.stack([w.graph.centroids for w in worlds])
+    dist = flight_distances_norm(cents)
+    assert np.sqrt(np.stack([sq_dist(c, c) for c in cents])).tobytes() == dist.tobytes()
+    flight = (dist <= cfg.move_radius_m() + 1e-9) | np.stack([w.graph.virtual for w in worlds])
+    want = np.full(batch.move_flags.shape, 4, dtype=np.uint8)
+    want[:, :, :cents.shape[1]] = ~batch.adj + 2 * ~flight
+    assert batch.move_flags.tobytes() == want.tobytes()
 
 
 
