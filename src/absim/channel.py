@@ -35,20 +35,35 @@ def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def los_probability(theta_deg, cfg: ScenarioConfig):
-    """P_LoS(theta); an array of theta's shape."""
-    base = cfg.plos_b1 * (np.asarray(theta_deg, dtype=float) - cfg.plos_xi_deg)
-    prob = np.where(base > 0.0, np.power(np.maximum(base, 0.0), cfg.plos_b2), 0.0)
-    return np.clip(prob, 0.0, 1.0)
+    """P_LoS(theta); an array of theta's shape. One float array is
+    allocated, and each step after the first writes into it."""
+    base = np.array(theta_deg, dtype=float)
+    base -= cfg.plos_xi_deg
+    base *= cfg.plos_b1
+    lit = base > 0.0
+    np.maximum(base, 0.0, out=base)
+    np.power(base, cfg.plos_b2, out=base)
+    np.copyto(base, 0.0, where=~lit)
+    return np.clip(base, 0.0, 1.0, out=base)[()]      # a scalar for a scalar theta
 
 
 def effective_path_loss_db(distance_m, theta_deg, cfg: ScenarioConfig):
-    """LoS/NLoS-blended large-scale loss in dB; vectorized."""
-    d = np.asarray(distance_m, dtype=float)
-    plos = los_probability(theta_deg, cfg)
-    excess = (plos * 10.0 ** (cfg.kappa_los_db / 10.0)
-              + (1.0 - plos) * 10.0 ** (cfg.kappa_nlos_db / 10.0))
-    return (10.0 * np.log10(cfg.ref_loss_k0_value()) + 10.0 * cfg.path_alpha * np.log10(d)
-            + 10.0 * np.log10(excess))
+    """LoS/NLoS-blended large-scale loss in dB; vectorized. It holds at most
+    two arrays of the inputs' size at once, its output included."""
+    excess = np.asarray(los_probability(theta_deg, cfg))
+    nlos = 1.0 - excess
+    excess *= 10.0 ** (cfg.kappa_los_db / 10.0)
+    nlos *= 10.0 ** (cfg.kappa_nlos_db / 10.0)
+    excess += nlos
+    del nlos
+    loss = np.array(distance_m, dtype=float)
+    np.log10(loss, out=loss)
+    loss *= 10.0 * cfg.path_alpha
+    loss += 10.0 * np.log10(cfg.ref_loss_k0_value())
+    np.log10(excess, out=excess)
+    excess *= 10.0
+    loss += excess
+    return loss[()]
 
 
 def sample_fading(rng: np.random.Generator, size=None):
@@ -59,6 +74,10 @@ def sample_fading(rng: np.random.Generator, size=None):
 def link_matrix(uav_xy: np.ndarray, users_xy: np.ndarray,
                 cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """(n_users, n_uav) distances and large-scale losses for a whole slot."""
-    d = np.sqrt(sq_dist(users_xy, uav_xy) + cfg.altitude_m ** 2)
-    theta = np.degrees(np.arcsin(cfg.altitude_m / d))
+    d = sq_dist(users_xy, uav_xy)
+    d += cfg.altitude_m ** 2
+    np.sqrt(d, out=d)
+    theta = np.divide(cfg.altitude_m, d)
+    np.arcsin(theta, out=theta)
+    np.degrees(theta, out=theta)
     return d, effective_path_loss_db(d, theta, cfg)

@@ -64,8 +64,8 @@ def _nearest(nodes: np.ndarray, centroids: np.ndarray):
     d_own, labels = np.empty(len(nodes)), np.empty(len(nodes), dtype=np.intp)
     for s in range(0, len(nodes), BLOCK):
         dist2 = sq_dist(nodes[s:s + BLOCK], centroids)
-        labels[s:s + BLOCK] = dist2.argmin(axis=1)
-        d_own[s:s + BLOCK] = dist2.min(axis=1)
+        labels[s:s + BLOCK] = near = dist2.argmin(axis=1)
+        d_own[s:s + BLOCK] = np.take_along_axis(dist2, near[:, None], axis=1)[:, 0]
     return d_own, labels
 
 
@@ -200,7 +200,13 @@ def qa_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
 
 
 def kmeans_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
-    """Lloyd's k-means over the candidates, seeded from random candidates."""
+    """Lloyd's k-means over the candidates, seeded from random candidates.
+
+    Each cluster before the first empty one moves to its members' mean, the
+    members added in candidate order (bincount, as nodes[sel].mean does).
+    From the first empty cluster on, clusters update one at a time, as an
+    empty one seizes the worst-quantized candidate from its cluster.
+    """
     rng = rng_stream(cfg.seed, "condense")
     m_cent = cfg.n_centroids
     centroids = nodes[rng.choice(len(nodes), size=m_cent, replace=False)].copy()
@@ -210,7 +216,12 @@ def kmeans_condense(nodes: np.ndarray, cfg: ScenarioConfig) -> CondensedGraph:
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for j in range(m_cent):
+        counts = np.bincount(labels, minlength=m_cent)
+        first_empty = int(np.argmin(counts)) if counts.min() == 0 else m_cent
+        for c in range(2):
+            sums = np.bincount(labels, weights=nodes[:, c], minlength=m_cent)
+            centroids[:first_empty, c] = sums[:first_empty] / counts[:first_empty]
+        for j in range(first_empty, m_cent):
             sel = labels == j
             if sel.any():
                 centroids[j] = nodes[sel].mean(axis=0)

@@ -299,10 +299,14 @@ def generate_candidates(cfg: ScenarioConfig) -> np.ndarray:
             rng.uniform(cfg.y_min, cfg.y_max, extra),
         ])
         nodes = np.vstack([nodes, rand])
-    # exact duplicates would break nearest-centroid bookkeeping downstream
-    while len(np.unique(nodes, axis=0)) < n0:
-        _, first = np.unique(nodes, axis=0, return_index=True)
-        dup = np.setdiff1d(np.arange(n0), first)
+    # exact duplicates would break nearest-centroid bookkeeping downstream.
+    # Sorted stably by (x, y), each copy follows the first occurrence of its
+    # point, so dup holds every later occurrence, ascending
+    while True:
+        order = np.lexsort((nodes[:, 1], nodes[:, 0]))
+        ranked = nodes[order]
+        dup = np.sort(order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)])
+        if not dup.size:
+            return nodes
         nodes[dup, 0] = rng.uniform(cfg.x_min, cfg.x_max, dup.size)
         nodes[dup, 1] = rng.uniform(cfg.y_min, cfg.y_max, dup.size)
-    return nodes

@@ -10,8 +10,10 @@ Training runs any number of worlds (a seed, condenser or reward weight
 each) in lockstep: one slot step advances all of them through tables
 stacked once per row, while each world draws from its own RNG streams,
 so a world's results do not depend on which others it was batched with.
-Every row draws its whole episode's fading up front. Greedy evaluation
-also stacks several episodes of a world as lockstep rows.
+Every row draws its fading SLOT_BLOCK slots at a time, so no array sized to
+a whole episode's fading or SINRs exists. Greedy evaluation also stacks
+several episodes of a world as lockstep rows, each on its own copy of the
+world's fading stream, placed at its episode.
 
 An episode's results are two arrays: each row's slot means (reward,
 outage by class, rate) and the fleet's trajectory. Training keeps only
@@ -25,6 +27,7 @@ separate timings.json.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
@@ -54,10 +57,13 @@ _MOVE_BITS = ((4, _OFF_GRAPH), (1, _NOT_NEIGHBOR), (2, _TOO_FAST))
 WORLD_FIELDS = ("seed", "mu_pr")
 
 # lockstep rows of greedy evaluation: each world stacks up to
-# EVAL_ROWS // worlds of its episodes. Every row holds its own tables and
-# its whole episode's fading (240 kB at the reference size), so the stack
-# is small
+# EVAL_ROWS // worlds of its episodes, every row with its own tables. No
+# output depends on it; a larger stack moves evaluation timings
 EVAL_ROWS = 4
+
+# slots of fading a row draws at a time, and of SINRs reduced to rates at a
+# time; no output depends on it
+SLOT_BLOCK = 10
 
 
 @dataclass
@@ -177,6 +183,11 @@ def _audit_moves(batch: Lockstep, states: np.ndarray, actions: np.ndarray,
 EPISODE_COLUMNS = ("reward", "network", "priority", "regular", "rate_bps")
 
 
+def _slot_blocks(n_slots: int) -> list:
+    """An episode's slots as ranges of SLOT_BLOCK, the last one shorter."""
+    return [range(t, min(t + SLOT_BLOCK, n_slots)) for t in range(0, n_slots, SLOT_BLOCK)]
+
+
 def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
                 rng_act: list, learn: bool, audit: np.ndarray) -> tuple:
     """One episode of every row, with row k drawing from rng_fading[k]
@@ -184,15 +195,20 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     row (the summed UAV penalty, the three outage fractions and the
     user-mean uplink rate) and the (n_slots + 1, S, n_uav) trajectory.
 
-    Row by row, the start states, the whole episode's exploration
-    (rl.draw_exploration) and then the whole episode's fading, in one draw
-    per row, are taken first; rows that share a fading stream (stacked
-    evaluation episodes) thus take its episodes in row order. What no
-    later slot reads is reduced once at the end: the users' rates, the
-    outage fractions, the move audit, the power-cap count and each slot's
-    penalty total, its UAVs added left to right from +0.0 (np.add.accumulate;
-    np.sum's order is numpy's to choose), so an all -0.0 slot totals +0.0.
+    Row by row, the start states and the whole episode's exploration
+    (rl.draw_exploration) are taken first. Fading is drawn SLOT_BLOCK slots
+    at a time, row by row, into one block buffer: the same floats, and the
+    same final stream state, as one whole-episode draw per row. The rows
+    must not share a fading stream, as their blocks would interleave
+    (ValueError). Each block's SINRs reduce to per-slot rate sums, each a
+    row reduction of its own. What no later slot reads is reduced once at
+    the end: the outage fractions, the move audit, the power-cap count and
+    each slot's penalty total, its UAVs added left to right from +0.0
+    (np.add.accumulate; np.sum's order is numpy's to choose), so an all
+    -0.0 slot totals +0.0.
     """
+    if len({id(rng) for rng in rng_fading}) < len(rng_fading):
+        raise ValueError("lockstep rows must not share a fading stream")
     cfg = batch.cfg
     n_slots = cfg.slots_per_episode
     link_shape = (cfg.n_users, cfg.n_uav)
@@ -203,22 +219,25 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     else:
         traj[0] = np.arange(cfg.n_uav) * (m // cfg.n_uav)
     draws = draw_exploration(rng_act, eps, n_slots, cfg.n_uav, batch.moves, batch.n_moves)
-    fading = np.empty((n_slots, len(batch)) + link_shape)
-    for k, rng in enumerate(rng_fading):
-        fading[:, k] = sample_fading(rng, (n_slots,) + link_shape)
+    fading = np.empty((SLOT_BLOCK, len(batch)) + link_shape)
+    sinrs = np.empty((len(batch), SLOT_BLOCK, cfg.n_users))
     # (S, slots, n_uav), so the slot totals come out in slots[:, 0]'s (S, slots) order
     rewards = np.empty((len(batch), n_slots, cfg.n_uav))
     counts = np.empty((len(batch), n_slots, 2, 2, cfg.n_uav), dtype=int)
     peak_power = np.empty((len(batch), n_slots))
-    sinrs = np.empty((len(batch), n_slots, cfg.n_users))
+    rate_sum = np.empty((len(batch), n_slots))      # each slot's users' rates, added
     prev_assoc = None
-    for t in range(n_slots):
-        traj[t + 1], link, counts[:, t], rewards[:, t] = run_slot(
-            batch, q, traj[t], prev_assoc, draws, t, fading[t], learn)
-        prev_assoc = link.assoc
-        np.maximum.reduce(link.tx_power_w, axis=-1, out=peak_power[:, t])
-        sinrs[:, t] = link.sinr
-    del fading, link
+    for block in _slot_blocks(n_slots):
+        for k, rng in enumerate(rng_fading):
+            fading[:len(block), k] = sample_fading(rng, (len(block),) + link_shape)
+        for b, t in enumerate(block):
+            traj[t + 1], link, counts[:, t], rewards[:, t] = run_slot(
+                batch, q, traj[t], prev_assoc, draws, t, fading[b], learn)
+            prev_assoc = link.assoc
+            np.maximum.reduce(link.tx_power_w, axis=-1, out=peak_power[:, t])
+            sinrs[:, b] = link.sinr
+        rate_sum[:, block.start:block.stop] = rate_bps(
+            sinrs[:, :len(block)], cfg.bandwidth_hz).sum(axis=-1)
 
     _audit_moves(batch, traj[:-1], traj[1:], audit)
     # slots in which any user transmits above the cap
@@ -227,7 +246,7 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     slots = np.empty((len(batch), len(EPISODE_COLUMNS), n_slots))
     slots[:, 0] = np.add.accumulate(rewards, axis=-1)[..., -1] + 0.0
     slots[:, 1:4] = outage_fractions(counts).transpose(0, 2, 1)
-    slots[:, 4] = rate_bps(sinrs, cfg.bandwidth_hz).sum(axis=-1) / cfg.n_users
+    slots[:, 4] = rate_sum / cfg.n_users
     return slots.mean(axis=-1), traj
 
 
@@ -280,9 +299,14 @@ def _evaluate(batch: Lockstep, q: np.ndarray) -> list:
     re-evaluating a loaded snapshot later give identical numbers. Each
     world runs k (EVAL_ROWS // len(batch), at least 1) of its episodes at
     once, as rows of one lockstep batch built once per call. Row j of a
-    round runs the round's j-th episode, drawing from the world's streams
-    in row order, so each episode equals its run alone. The last round's
-    rows past eval_episodes draw after the real ones and are dropped.
+    round runs the round's j-th episode. Its fading comes from a generator
+    of its own: row 0 takes the world's stream, and row j a copy of row
+    j - 1's, advanced by drawing and dropping one episode of fading (k - 1
+    dropped episodes per round); after the round the world's stream takes
+    the last row's state. Random starts come from the world's shared
+    eval_egreedy stream in row order, so each episode equals its run alone.
+    The last round's rows past eval_episodes run after the real ones and
+    are dropped.
     """
     cfg, worlds = batch.cfg, batch.worlds
     n, episodes = len(worlds), cfg.eval_episodes
@@ -296,9 +320,17 @@ def _evaluate(batch: Lockstep, q: np.ndarray) -> list:
     # (world, columns, episodes), so each mean reduces a contiguous row
     means = np.empty((n, len(EPISODE_COLUMNS), episodes))
     for e in range(0, episodes, k):
+        streams = []
+        for rng in rng_fading:
+            streams.append(rng)
+            for _ in range(k - 1):
+                streams.append(copy.deepcopy(streams[-1]))
+                for block in _slot_blocks(cfg.slots_per_episode):
+                    sample_fading(streams[-1], (len(block), cfg.n_users, cfg.n_uav))
+        rng_fading = streams[k - 1::k]
         audit_rows = np.zeros((n * k, len(AUDIT_KEYS)), dtype=np.int64)
-        table, traj = run_episode(batch, q, 0.0, [rng_fading[r] for r in rows],
-                                  [rng_act[r] for r in rows], learn=False, audit=audit_rows)
+        table, traj = run_episode(batch, q, 0.0, streams, [rng_act[r] for r in rows],
+                                  learn=False, audit=audit_rows)
         audit += audit_rows.reshape(n, k, -1)[:, :episodes - e].sum(axis=1)
         means[:, :, e:e + k] = table.reshape(n, k, -1).transpose(0, 2, 1)[..., :episodes - e]
     # each world's last episode is row (episodes - 1) % k of the final round

@@ -9,11 +9,11 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from absim import sim
-from absim.channel import effective_path_loss_db, link_matrix
-from absim.condense import _draw_move, snr_proxy, sq_dist
+from absim.channel import link_matrix
+from absim.condense import KMEANS_MAX_ITER, _draw_move, snr_proxy, sq_dist
 from absim.radio import dbm_to_watt, db_to_linear
 from absim.rl import masked, td_update
-from absim.scenario import ScenarioConfig
+from absim.scenario import ScenarioConfig, rng_stream
 
 
 # the condense-wide benchmark workload's size: N = 3600, M = 120, K = 100
@@ -185,13 +185,32 @@ def link_geometry(uav_pos, user_pos) -> LinkGeometry:
     return LinkGeometry(distance_m=d, theta_deg=theta)
 
 
+def los_probability_out_of_place(theta_deg, cfg):
+    """channel.los_probability with a fresh array per step, as first written."""
+    base = cfg.plos_b1 * (np.asarray(theta_deg, dtype=float) - cfg.plos_xi_deg)
+    prob = np.where(base > 0.0, np.power(np.maximum(base, 0.0), cfg.plos_b2), 0.0)
+    return np.clip(prob, 0.0, 1.0)
+
+
+def path_loss_db_out_of_place(distance_m, theta_deg, cfg):
+    """channel.effective_path_loss_db with a fresh array per step, as first
+    written."""
+    d = np.asarray(distance_m, dtype=float)
+    plos = los_probability_out_of_place(theta_deg, cfg)
+    excess = (plos * 10.0 ** (cfg.kappa_los_db / 10.0)
+              + (1.0 - plos) * 10.0 ** (cfg.kappa_nlos_db / 10.0))
+    return (10.0 * np.log10(cfg.ref_loss_k0_value()) + 10.0 * cfg.path_alpha * np.log10(d)
+            + 10.0 * np.log10(excess))
+
+
 def link_matrix_broadcast(uav_xy, users_xy, cfg):
     """channel.link_matrix with its distances from one (n_users, n_uav, 2)
-    difference array, (diff ** 2).sum(axis=2): the broadcast form of sq_dist."""
+    difference array, (diff ** 2).sum(axis=2): the broadcast form of sq_dist,
+    and a fresh array per step of the elevation and the loss."""
     diff = users_xy[:, None, :] - uav_xy[None, :, :]
     d = np.sqrt((diff ** 2).sum(axis=2) + cfg.altitude_m ** 2)
     theta = np.degrees(np.arcsin(cfg.altitude_m / d))
-    return d, effective_path_loss_db(d, theta, cfg)
+    return d, path_loss_db_out_of_place(d, theta, cfg)
 
 
 def flight_distances_norm(centroids):
@@ -232,6 +251,60 @@ def propose(centroids, nodes, rng, cfg):
 def distortion_one_shot(nodes, centroids) -> float:
     """condense.distortion from one (N, M) distance matrix, no blocks."""
     return float(sq_dist(nodes, centroids).min(axis=1).sum())
+
+
+def kmeans_centroids_loop(nodes, cfg) -> np.ndarray:
+    """condense.kmeans_condense's final centroids by the original loop: the
+    labels and nearest distances from one (N, M) matrix by argmin and a
+    second min pass, then each cluster's mean by nodes[sel].mean, one
+    cluster at a time, an empty one seizing the worst-quantized point."""
+    rng = rng_stream(cfg.seed, "condense")
+    m_cent = cfg.n_centroids
+    centroids = nodes[rng.choice(len(nodes), size=m_cent, replace=False)].copy()
+    labels = np.full(len(nodes), -1)
+    for _ in range(KMEANS_MAX_ITER):
+        dist2 = sq_dist(nodes, centroids)
+        new_labels, d_own = dist2.argmin(axis=1), dist2.min(axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(m_cent):
+            sel = labels == j
+            if sel.any():
+                centroids[j] = nodes[sel].mean(axis=0)
+            else:
+                far = int(d_own.argmax())
+                centroids[j] = nodes[far]
+                labels[far] = j
+                d_own[far] = 0.0
+    return centroids
+
+
+def candidates_by_unique(cfg) -> tuple:
+    """scenario.generate_candidates with its duplicates found by np.unique,
+    as first written; returns the candidates and the number of redraw
+    rounds."""
+    nodes = np.empty((0, 2))
+    rng = rng_stream(cfg.seed, "candidates")
+    n0 = cfg.n_candidates
+    if cfg.candidate_rule == "grid":
+        s = math.isqrt(n0)
+        xs = cfg.x_min + (cfg.x_max - cfg.x_min) / s * (0.5 + np.arange(s))
+        ys = cfg.y_min + (cfg.y_max - cfg.y_min) / s * (0.5 + np.arange(s))
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    extra = n0 - len(nodes)
+    if extra:
+        nodes = np.vstack([nodes, np.column_stack([rng.uniform(cfg.x_min, cfg.x_max, extra),
+                                                   rng.uniform(cfg.y_min, cfg.y_max, extra)])])
+    rounds = 0
+    while len(np.unique(nodes, axis=0)) < n0:
+        _, first = np.unique(nodes, axis=0, return_index=True)
+        dup = np.setdiff1d(np.arange(n0), first)
+        nodes[dup, 0] = rng.uniform(cfg.x_min, cfg.x_max, dup.size)
+        nodes[dup, 1] = rng.uniform(cfg.y_min, cfg.y_max, dup.size)
+        rounds += 1
+    return nodes, rounds
 
 
 def snr_proxy_one_shot(nodes, users_xy, priority_mask, cfg) -> np.ndarray:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from absim.channel import effective_path_loss_db, link_matrix, los_probability, sample_fading
 from absim.condense import BLOCK
 from absim.scenario import ScenarioConfig, drop_users, generate_candidates, rng_stream
-from helpers import WIDE, channel_gain, link_geometry, link_matrix_broadcast, mk_cfg
+from helpers import (WIDE, channel_gain, link_geometry, link_matrix_broadcast,
+                     los_probability_out_of_place, mk_cfg, path_loss_db_out_of_place)
 
 P = mk_cfg()
 
@@ -63,6 +64,26 @@ def test_los_probability_stays_in_unit_interval(theta, b1, b2, xi):
     p = dataclasses.replace(P, plos_b1=b1, plos_b2=b2, plos_xi_deg=xi)
     prob = los_probability(theta, p)
     assert 0.0 <= prob <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.lists(st.floats(-10.0, 90.0), min_size=1, max_size=20),
+       d=st.floats(1.0, 1e5), b1=st.floats(0.001, 2.0), b2=st.floats(0.0, 5.0),
+       xi=st.floats(0.0, 20.0))
+def test_in_place_los_and_loss_equal_the_out_of_place_forms(theta, d, b1, b2, xi):
+    # b2 = 0 included: a zero base must still map to 0, not to 0 ** 0 = 1
+    p = dataclasses.replace(P, plos_b1=b1, plos_b2=b2, plos_xi_deg=xi)
+    theta = np.array(theta)
+    before = theta.tobytes()
+    got = (los_probability(theta, p), effective_path_loss_db(np.full(theta.shape, d), theta, p))
+    want = (los_probability_out_of_place(theta, p),
+            path_loss_db_out_of_place(np.full(theta.shape, d), theta, p))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert theta.tobytes() == before
+    # scalars in, scalars out, as the out-of-place forms give
+    scalars = (los_probability(theta[0], p), effective_path_loss_db(d, theta[0], p))
+    assert all(isinstance(x, float) for x in scalars)
+    assert scalars == (want[0][0], want[1][0])
 
 
 def test_path_loss_pure_los_reference():

@@ -18,8 +18,8 @@ from absim.condense import (BLOCK, accept, build_adjacency, distortion, kmeans_c
 from absim.scenario import ScenarioConfig, drop_users, generate_candidates, rng_stream
 from absim.sim import METHODS, train_lockstep
 from helpers import (WIDE, build_adjacency_one_pass, distortion_one_shot,
-                     greedy_bridge_adjacency, mk_cfg, neighbors, propose, snr_proxy_one_shot,
-                     snrp_picks)
+                     greedy_bridge_adjacency, kmeans_centroids_loop, mk_cfg, neighbors, propose,
+                     snr_proxy_one_shot, snrp_picks)
 
 
 def test_distortion_hand_values():
@@ -119,13 +119,15 @@ def test_condensers_hold_no_candidate_by_centroid_matrix():
     assert _traced_peak(lambda: snrp_condense(nodes, xy, mask, cfg)) < gain
 
 
-def test_link_matrix_block_holds_fewer_than_eight_output_sized_arrays():
+def test_link_matrix_block_holds_fewer_than_five_output_sized_arrays():
     # one BLOCK x 100-user block returns two 0.195 MiB arrays; with an
-    # (N, K, 2) difference array and its square the peak was 9.0 of them
+    # (N, K, 2) difference array and its square the peak was 9.0 of them,
+    # 7.0 with a fresh array per sqrt, arcsin, degrees and LoS step, and
+    # 4.0 with those steps in place
     cfg = mk_cfg(**WIDE)
     block = generate_candidates(cfg)[:BLOCK]
     xy, _ = drop_users(cfg)
-    assert _traced_peak(lambda: link_matrix(block, xy, cfg)) < 8 * BLOCK * len(xy) * 8
+    assert _traced_peak(lambda: link_matrix(block, xy, cfg)) < 5 * BLOCK * len(xy) * 8
 
 
 def test_distortion_matches_nested_loop():
@@ -319,6 +321,28 @@ def test_kmeans_empty_cluster_seizes_the_worst_quantized_point():
         graph = kmeans_condense(nodes, dataclasses.replace(cfg, seed=seed))
         assert len(np.unique(vq(nodes, graph.centroids)[0])) == 8, seed
     assert shared == 18
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=2, max_size=90),
+       st.integers(1, 12), st.integers(0, 1000))
+def test_kmeans_equals_the_per_cluster_loop(points, m, seed):
+    # an integer lattice with repeats: tied distances, shared starting
+    # centroids and empty clusters that seize points
+    nodes = np.array(points, dtype=float) * 37.5
+    cfg = mk_cfg(n_candidates=len(nodes), n_centroids=min(m, len(nodes)), n_uav=1, seed=seed)
+    got = kmeans_condense(nodes, cfg).centroids
+    assert got.tobytes() == kmeans_centroids_loop(nodes, cfg).tobytes()
+
+
+@pytest.mark.parametrize("overrides", [{}, WIDE], ids=["small", "wide"])
+def test_kmeans_equals_the_per_cluster_loop_on_candidates(overrides):
+    cfg = mk_cfg(**overrides)
+    nodes = generate_candidates(cfg)
+    for seed in range(3):
+        c = dataclasses.replace(cfg, seed=seed)
+        assert kmeans_condense(nodes, c).centroids.tobytes() == \
+            kmeans_centroids_loop(nodes, c).tobytes()
 
 
 def test_kmeans_single_centroid_is_global_mean():

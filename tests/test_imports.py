@@ -1,9 +1,9 @@
 """Every module under src/, tests/ and demos/ uses each name it imports,
 every module-level def or class in src/ has a caller in src/ or perfbench/,
 no module in src/ imports another's underscore name, calls the built-in
-sum(), makes a matrix product or computes a planar distance other than
-through channel.sq_dist, and importing absim loads neither scipy nor
-scikit-learn."""
+sum() or np.unique, makes a matrix product or computes a planar distance
+other than through channel.sq_dist, importing absim loads neither scipy nor
+scikit-learn, and a training run does not load numpy.ma."""
 
 import ast
 import os
@@ -200,6 +200,41 @@ def test_src_takes_planar_distances_only_from_sq_dist():
              for p in PRODUCTION if p.is_relative_to(ROOT / "src")
              for line, what in distance_formulas(p.read_text())]
     assert found == []
+
+
+def unique_calls(source: str) -> list:
+    """Lines of each np.unique (or bare unique) that source reads."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "unique"
+                  or isinstance(node, ast.Name) and node.id == "unique")
+
+
+def test_unique_scan():
+    source = ("import numpy as np\nfrom numpy import unique\nu = np.unique(a, axis=0)\n"
+              "v = unique(b)\nw = np.lexsort((a, b))\n")
+    assert unique_calls(source) == [3, 4]
+
+
+def test_src_calls_no_np_unique():
+    # np.unique's sort path calls np.ma.is_masked, which imports numpy.ma
+    # (about 1.2 MB of resident memory) into every run
+    found = [(str(p.relative_to(ROOT)), line)
+             for p in PRODUCTION if p.is_relative_to(ROOT / "src")
+             for line in unique_calls(p.read_text())]
+    assert found == []
+
+
+def test_training_run_leaves_numpy_ma_unloaded(tmp_path):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text('{"n_users": 20, "n_candidates": 64, "n_centroids": 6, "episodes": 2, '
+                   '"slots_per_episode": 4, "eval_episodes": 2, "anneal_i_max": 40}')
+    probe = ("import sys, absim.cli; "
+             f"absim.cli.main(['train', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]); "
+             "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == "False"
 
 
 def test_absim_runs_on_numpy_alone():

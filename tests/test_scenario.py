@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from absim.scenario import (ConfigError, ScenarioConfig, config_from_dict, config_hash,
                             drop_users, generate_candidates, load_config, rng_stream)
-from helpers import mk_cfg
+from helpers import candidates_by_unique, mk_cfg
 
 
 def test_rng_stream_reproducible():
@@ -217,6 +217,20 @@ def test_candidates_always_in_bounds_and_distinct(seed, n0, rule):
     assert len(np.unique(nodes, axis=0)) == n0
     assert (nodes[:, 0] >= cfg.x_min).all() and (nodes[:, 0] <= cfg.x_max).all()
     assert (nodes[:, 1] >= cfg.y_min).all() and (nodes[:, 1] <= cfg.y_max).all()
+
+
+@pytest.mark.parametrize("rule", ["grid", "uniform"])
+@pytest.mark.parametrize("seed", range(4))
+def test_candidate_duplicates_are_those_np_unique_finds(seed, rule):
+    # an area 20 subnormal steps wide: grid points and uniform draws collide,
+    # and each round redraws the same rows from the same stream
+    cfg = mk_cfg(seed=seed, n_candidates=60, n_centroids=3, candidate_rule=rule,
+                 x_max=1e-322, y_max=1e-322)
+    want, rounds = candidates_by_unique(cfg)
+    assert rounds >= 1
+    assert generate_candidates(cfg).tobytes() == want.tobytes()
+    assert generate_candidates(mk_cfg(seed=seed)).tobytes() == candidates_by_unique(
+        mk_cfg(seed=seed))[0].tobytes()
 
 
 def test_helpers_areas():

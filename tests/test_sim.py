@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,10 +73,12 @@ def test_episode_fading_draw_equals_per_slot_draws():
     assert bulk.tobytes() == np.stack(per_slot).tobytes()
 
 
-def test_training_episode_draws_its_fading_in_one_call(monkeypatch):
-    # each row takes its whole episode's fading from its own stream in one
-    # draw, also at an episode length (13 slots) that is a prime
+def test_training_episode_draws_its_fading_in_slot_blocks(monkeypatch):
+    # each row takes its fading from its own stream SLOT_BLOCK slots at a
+    # time, the last block shorter at an episode length (13 slots) that is a
+    # prime, and leaves the stream where one whole-episode draw leaves it
     cfg = mk_cfg(slots_per_episode=13)
+    monkeypatch.setattr(sim, "SLOT_BLOCK", 5)
     world, _ = build_world(cfg, "kmeans")
     batch = Lockstep([world, dataclasses.replace(world, cfg=dataclasses.replace(cfg, seed=1))])
     m = world.graph.n_centroids
@@ -86,12 +89,76 @@ def test_training_episode_draws_its_fading_in_one_call(monkeypatch):
     run_episode(batch, masked(np.zeros((2, cfg.n_uav, m, m)), batch.adj), cfg.eps0,
                 rng_fading, [rng_stream(s, "egreedy") for s in (0, 1)], learn=True,
                 audit=np.zeros((2, len(AUDIT_KEYS)), dtype=np.int64))
+    assert calls == [(b, cfg.n_users, cfg.n_uav) for b in (5, 5, 5, 5, 3, 3)]
     shape = (cfg.slots_per_episode, cfg.n_users, cfg.n_uav)
-    assert calls == [shape, shape]
     for s, rng in zip((0, 1), rng_fading):
         fresh = rng_stream(s, "fading")
         sample_fading(fresh, shape)
         assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_rows_sharing_a_fading_stream_are_rejected():
+    # their blocks would interleave: the stream is rejected before any draw
+    cfg = mk_cfg()
+    world, _ = build_world(cfg, "kmeans")
+    batch = Lockstep([world, world])
+    m = world.graph.n_centroids
+    rng = rng_stream(0, "fading")
+    with pytest.raises(ValueError, match="must not share a fading stream"):
+        run_episode(batch, masked(np.zeros((2, cfg.n_uav, m, m)), batch.adj), 0.0,
+                    [rng, rng], [rng_stream(s, "egreedy") for s in (0, 1)], learn=False,
+                    audit=np.zeros((2, len(AUDIT_KEYS)), dtype=np.int64))
+    assert rng.bit_generator.state == rng_stream(0, "fading").bit_generator.state
+
+
+def test_reference_size_episode_holds_no_whole_episode_fading():
+    # 9 rows (compare's 3 methods x 3 seeds) of 100 slots, 100 users and 3
+    # UAVs: one (n_slots, S, n_users, n_uav) float array is 2.06 MiB, and
+    # with it and the episode's SINRs the peak was 3.11 MiB; in slot blocks
+    # it is 0.66 MiB
+    cfg = ScenarioConfig()
+    world, _ = build_world(cfg, "kmeans")
+    batch = Lockstep([world] * 9)
+    m = world.graph.n_centroids
+    q = masked(np.zeros((9, cfg.n_uav, m, m)), batch.adj)
+    streams = ([rng_stream(s, "fading") for s in range(9)],
+               [rng_stream(s, "egreedy") for s in range(9)])
+    audit = np.zeros((9, len(AUDIT_KEYS)), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        run_episode(batch, q, 0.5, *streams, learn=True, audit=audit)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.slots_per_episode * 9 * cfg.n_users * cfg.n_uav * 8
+
+
+def _slot_block_outputs(tmp_path) -> list:
+    """Report bytes of a compare (3 worlds, one evaluation row each), a
+    sweep (2 worlds, 2 rows each) and an evaluate_policy (one world, 4
+    rows), on 13-slot episodes with random starts; 5 evaluation episodes
+    leave surplus rows in the last round of the last two."""
+    cfg = mk_cfg(uav_start="random", slots_per_episode=13, eval_episodes=5, episodes=3)
+    runs = compare_methods(cfg, n_seeds=1)
+    out = [_report_bytes(res.report, tmp_path, m) for m in METHODS for res in runs[m]]
+    out.append(json.dumps(sweep_mu(cfg, [1.0, 4.0])))
+    res = runs["qa"][0]
+    out.append(repr(evaluate_policy(res.world, res.qtables)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def slot_block_reference(tmp_path_factory):
+    return _slot_block_outputs(tmp_path_factory.mktemp("reference"))
+
+
+@pytest.mark.parametrize("block", [1, 7, 13, 18])
+def test_reports_do_not_depend_on_slot_block(block, slot_block_reference, monkeypatch,
+                                             tmp_path):
+    # 13 is the episode length, 18 exceeds it; the reference ran at 10
+    monkeypatch.setattr(sim, "SLOT_BLOCK", block)
+    assert _slot_block_outputs(tmp_path) == slot_block_reference
 
 
 def _bridged_chain_world(cfg):
