@@ -66,9 +66,10 @@ def effective_path_loss_db(distance_m, theta_deg, cfg: ScenarioConfig):
     return loss[()]
 
 
-def sample_fading(rng: np.random.Generator, size=None):
-    """Unit-mean exponential power fading |f|^2."""
-    return rng.exponential(1.0, size)
+def sample_fading(rng: np.random.Generator, size=None, out=None):
+    """Unit-mean exponential power fading |f|^2, into a C-contiguous out if
+    given; the floats and final stream state of rng.exponential(1.0, size)."""
+    return rng.standard_exponential(size, out=out)
 
 
 def link_matrix(uav_xy: np.ndarray, users_xy: np.ndarray,

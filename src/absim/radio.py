@@ -75,18 +75,17 @@ def rate_bps(sinr_lin, bandwidth_hz: float):
 
 @lru_cache(maxsize=16)
 def _flat_offsets(lead: tuple, n_users: int, m: int, n_uav: int):
-    """Flat offsets that turn per-row indices into gathers from C-contiguous
-    arrays, at any leading (world) shape: each (world, user) row of an
-    (..., n_users, M) table, of an (..., n_users, n_uav) link array, and
-    each world's row of an (..., n_uav) array. Read-only, as they are
-    shared between calls."""
+    """Flat indices for np.take from C-contiguous arrays, at any leading
+    (world) shape: per link, (..., n_users, n_uav), its row of an (...,
+    n_users, M) table, its cell of an (..., n_uav) fleet and its (world,
+    user); per user, its row of a link array. Read-only, as calls share them."""
     size = math.prod(lead) * n_users
-    table_rows = np.arange(0, size * m, m).reshape(lead + (n_users, 1))
+    users = np.repeat(np.arange(size), n_uav).reshape(lead + (n_users, n_uav))
     rows = np.arange(0, size * n_uav, n_uav).reshape(lead + (n_users,))
-    cells = np.arange(0, size // n_users * n_uav, n_uav).reshape(lead + (1,))
-    for a in (table_rows, rows, cells):
+    offsets = users * m, users // n_users * n_uav + np.arange(n_uav), users, rows
+    for a in offsets:
         a.flags.writeable = False
-    return table_rows, rows, cells
+    return offsets
 
 
 def evaluate_slot(tables: LinkTables, fleet: np.ndarray, fading: np.ndarray,
@@ -99,35 +98,34 @@ def evaluate_slot(tables: LinkTables, fleet: np.ndarray, fading: np.ndarray,
     2-D call on its slice. The noise power and the SINR threshold come with
     the tables, so a slot reads no config. fading is (..., n_users, n_uav).
     prev_assoc is last slot's association; None (first slot) falls back to
-    the strongest large-scale link, fading excluded.
+    the strongest large-scale link, fading excluded. No step broadcasts over UAVs.
     """
     *lead, n_uav = fleet.shape
     n_users, m = tables.gain.shape[-2:]
-    table_rows, rows, cells = _flat_offsets(tuple(lead), n_users, m, n_uav)
-    links = table_rows + fleet[..., None, :]        # flat (..., n_users, n_uav) columns
+    table_rows, fleet_cells, users, rows = _flat_offsets(tuple(lead), n_users, m, n_uav)
+    links = table_rows + fleet.take(fleet_cells)    # each link's flat table entry
     if prev_assoc is None:
-        serving_prev = np.argmin(tables.loss_db.reshape(-1)[links], axis=-1)
+        serving_prev = np.argmin(tables.loss_db.take(links), axis=-1)
     else:
         serving_prev = prev_assoc
-    serving = fleet.reshape(-1)[cells + serving_prev]   # that ABS's centroid now
-    p_w = tables.power_w.reshape(-1)[table_rows[..., 0] + serving]
-
-    gains = tables.gain.reshape(-1)[links] * fading
-    rx = p_w[..., None] * gains                     # (..., n_users, n_uav)
+    p_w = tables.power_w.take(links.take(rows + serving_prev))   # toward that ABS's centroid now
+    gains = tables.gain.take(links)
+    gains *= fading
+    rx = p_w.take(users)        # p_w[..., None] * gains, without the broadcast
+    rx *= gains
     assoc = rx.argmax(axis=-1)    # strongest received power; ties go to the lowest index
 
     # inter-cell interference at ABS n: power arriving at n from users served
-    # elsewhere; user-independent per ABS, so each user reads their column.
-    # Masked sum, not colsum-minus-own: the subtraction leaves cancellation
-    # residue that breaks the exact I = 0 case of an interference-free cell.
-    # The masked array takes in_cell's C layout whatever the inputs' layout,
-    # so the users axis is summed one row at a time, as in a 2-D call; summing
-    # a users-contiguous layout would switch numpy to pairwise sums.
+    # elsewhere; user-independent per ABS, so each user reads their cell.
+    # rx (the call's own C-contiguous array) has its in-cell entries zeroed,
+    # and bincount adds each (world, ABS) bin's users in order from +0.0, the
+    # left-to-right sum of a 2-D call whatever the inputs' layout. Not
+    # colsum-minus-own: its cancellation residue breaks an interference-free
+    # cell's exact I = +0.0.
     own = rows + assoc
-    sig = rx.reshape(-1)[own]
-    in_cell = np.zeros(rx.shape, dtype=bool)
-    in_cell.reshape(-1)[own] = True
-    interf = np.where(in_cell, 0.0, rx).sum(axis=-2).reshape(-1)[cells + assoc]
+    sig = rx.take(own)
+    rx.put(own, 0.0)
+    interf = np.bincount(fleet_cells.ravel(), weights=rx.ravel()).take(fleet_cells.take(own))
 
     snr = sig / (tables.noise_w + interf)
     return LinkState(

@@ -197,21 +197,20 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
 
     Row by row, the start states and the whole episode's exploration
     (rl.draw_exploration) are taken first. Fading is drawn SLOT_BLOCK slots
-    at a time, row by row, into one block buffer: the same floats, and the
-    same final stream state, as one whole-episode draw per row. The rows
-    must not share a fading stream, as their blocks would interleave
-    (ValueError). Each block's SINRs reduce to per-slot rate sums, each a
-    row reduction of its own. What no later slot reads is reduced once at
-    the end: the outage fractions, the move audit, the power-cap count and
-    each slot's penalty total, its UAVs added left to right from +0.0
-    (np.add.accumulate; np.sum's order is numpy's to choose), so an all
-    -0.0 slot totals +0.0.
+    at a time, row by row, into the row's part of one (S, SLOT_BLOCK,
+    n_users, n_uav) buffer: the same floats, and final stream state, as one
+    whole-episode draw per row. Rows must not share a fading stream, as
+    their blocks would interleave (ValueError). A block's SINRs reduce to
+    per-slot rate sums, each a row reduction, and its powers to peaks. What
+    no later slot reads is reduced once at the end: the outage fractions,
+    the move audit, the power-cap count and each slot's penalty total, its
+    UAVs added left to right from +0.0 (np.add.accumulate; np.sum's order
+    is numpy's to choose), so an all -0.0 slot totals +0.0.
     """
     if len({id(rng) for rng in rng_fading}) < len(rng_fading):
         raise ValueError("lockstep rows must not share a fading stream")
     cfg = batch.cfg
     n_slots = cfg.slots_per_episode
-    link_shape = (cfg.n_users, cfg.n_uav)
     traj = np.empty((n_slots + 1, len(batch), cfg.n_uav), dtype=int)
     m = batch.adj.shape[-1]
     if cfg.uav_start == "random":
@@ -219,25 +218,25 @@ def run_episode(batch: Lockstep, q: np.ndarray, eps: float, rng_fading: list,
     else:
         traj[0] = np.arange(cfg.n_uav) * (m // cfg.n_uav)
     draws = draw_exploration(rng_act, eps, n_slots, cfg.n_uav, batch.moves, batch.n_moves)
-    fading = np.empty((SLOT_BLOCK, len(batch)) + link_shape)
-    sinrs = np.empty((len(batch), SLOT_BLOCK, cfg.n_users))
+    fading = np.empty((len(batch), SLOT_BLOCK, cfg.n_users, cfg.n_uav))
+    powers, sinrs = np.empty((2, len(batch), SLOT_BLOCK, cfg.n_users))
     # (S, slots, n_uav), so the slot totals come out in slots[:, 0]'s (S, slots) order
     rewards = np.empty((len(batch), n_slots, cfg.n_uav))
     counts = np.empty((len(batch), n_slots, 2, 2, cfg.n_uav), dtype=int)
-    peak_power = np.empty((len(batch), n_slots))
-    rate_sum = np.empty((len(batch), n_slots))      # each slot's users' rates, added
+    peak_power, rate_sum = np.empty((2, len(batch), n_slots))     # over each slot's users
     prev_assoc = None
     for block in _slot_blocks(n_slots):
         for k, rng in enumerate(rng_fading):
-            fading[:len(block), k] = sample_fading(rng, (len(block),) + link_shape)
+            sample_fading(rng, out=fading[k, :len(block)])
         for b, t in enumerate(block):
             traj[t + 1], link, counts[:, t], rewards[:, t] = run_slot(
-                batch, q, traj[t], prev_assoc, draws, t, fading[b], learn)
+                batch, q, traj[t], prev_assoc, draws, t, fading[:, b], learn)
             prev_assoc = link.assoc
-            np.maximum.reduce(link.tx_power_w, axis=-1, out=peak_power[:, t])
+            powers[:, b] = link.tx_power_w
             sinrs[:, b] = link.sinr
-        rate_sum[:, block.start:block.stop] = rate_bps(
-            sinrs[:, :len(block)], cfg.bandwidth_hz).sum(axis=-1)
+        span = slice(block.start, block.stop)
+        np.maximum.reduce(powers[:, :len(block)], axis=-1, out=peak_power[:, span])
+        rate_sum[:, span] = rate_bps(sinrs[:, :len(block)], cfg.bandwidth_hz).sum(axis=-1)
 
     _audit_moves(batch, traj[:-1], traj[1:], audit)
     # slots in which any user transmits above the cap
@@ -319,6 +318,7 @@ def _evaluate(batch: Lockstep, q: np.ndarray) -> list:
     audit = np.zeros((n, len(AUDIT_KEYS)), dtype=np.int64)
     # (world, columns, episodes), so each mean reduces a contiguous row
     means = np.empty((n, len(EPISODE_COLUMNS), episodes))
+    dropped = np.empty((SLOT_BLOCK, cfg.n_users, cfg.n_uav))   # takes the dropped draws
     for e in range(0, episodes, k):
         streams = []
         for rng in rng_fading:
@@ -326,7 +326,7 @@ def _evaluate(batch: Lockstep, q: np.ndarray) -> list:
             for _ in range(k - 1):
                 streams.append(copy.deepcopy(streams[-1]))
                 for block in _slot_blocks(cfg.slots_per_episode):
-                    sample_fading(streams[-1], (len(block), cfg.n_users, cfg.n_uav))
+                    sample_fading(streams[-1], out=dropped[:len(block)])
         rng_fading = streams[k - 1::k]
         audit_rows = np.zeros((n * k, len(AUDIT_KEYS)), dtype=np.int64)
         table, traj = run_episode(batch, q, 0.0, streams, [rng_act[r] for r in rows],

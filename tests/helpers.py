@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 from absim import sim
 from absim.channel import link_matrix
 from absim.condense import KMEANS_MAX_ITER, _draw_move, snr_proxy, sq_dist
-from absim.radio import dbm_to_watt, db_to_linear
+from absim.radio import LinkState, dbm_to_watt, db_to_linear
 from absim.rl import masked, td_update
 from absim.scenario import ScenarioConfig, rng_stream
 
@@ -160,6 +160,37 @@ def gathered_loss_slot(large_scale_db, fading, prev_assoc, cfg):
     interf = np.where(in_cell, 0.0, rx).sum(axis=0)[assoc]
     snr = rx[users, assoc] / (dbm_to_watt(cfg.noise_dbm) + interf)
     return p_w, gains, assoc, interf, snr, snr < db_to_linear(cfg.gamma_th_db)
+
+
+def evaluate_slot_broadcast(tables, fleet, fading, prev_assoc):
+    """radio.evaluate_slot as it stood before its index-array form: offsets
+    broadcast over the UAV axis, and interference as a masked sum over the
+    users axis, which numpy adds one users row at a time. The byte-for-byte
+    oracle of the slot chain; returns a radio.LinkState."""
+    *lead, n_uav = fleet.shape
+    n_users, m = tables.gain.shape[-2:]
+    size = math.prod(lead) * n_users
+    table_rows = np.arange(0, size * m, m).reshape(tuple(lead) + (n_users, 1))
+    rows = np.arange(0, size * n_uav, n_uav).reshape(tuple(lead) + (n_users,))
+    cells = np.arange(0, size // n_users * n_uav, n_uav).reshape(tuple(lead) + (1,))
+    links = table_rows + fleet[..., None, :]
+    if prev_assoc is None:
+        serving_prev = np.argmin(tables.loss_db.reshape(-1)[links], axis=-1)
+    else:
+        serving_prev = prev_assoc
+    serving = fleet.reshape(-1)[cells + serving_prev]
+    p_w = tables.power_w.reshape(-1)[table_rows[..., 0] + serving]
+    gains = tables.gain.reshape(-1)[links] * fading
+    rx = p_w[..., None] * gains
+    assoc = rx.argmax(axis=-1)
+    own = rows + assoc
+    sig = rx.reshape(-1)[own]
+    in_cell = np.zeros(rx.shape, dtype=bool)
+    in_cell.reshape(-1)[own] = True
+    interf = np.where(in_cell, 0.0, rx).sum(axis=-2).reshape(-1)[cells + assoc]
+    snr = sig / (tables.noise_w + interf)
+    return LinkState(gains=gains, tx_power_w=p_w, serving_prev=serving_prev, assoc=assoc,
+                     interference_w=interf, sinr=snr, outage=snr < tables.gamma_lin)
 
 
 # -- reference paths the pipeline no longer uses ----------------------------

@@ -143,6 +143,19 @@ def test_fading_reproducible():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("shape", [(1,), (7,), (13, 24, 3), (5, 100, 3), (10, 1, 1)])
+def test_fading_equals_unit_scale_exponential_draws(shape):
+    # standard_exponential, into a buffer or not, gives exponential(1.0)'s
+    # floats and leaves the stream where it leaves it
+    for seed in range(50):
+        want_rng, rng, into = (rng_stream(seed, "fading") for _ in range(3))
+        want = want_rng.exponential(1.0, shape)
+        buffer = np.empty(shape)
+        sample_fading(into, out=buffer)
+        assert sample_fading(rng, shape).tobytes() == want.tobytes() == buffer.tobytes()
+        assert rng.bit_generator.state == into.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_mean_gain_matches_large_scale():
     draws = sample_fading(rng_stream(1, "fading"), 1_000_000)
     mean_gain = channel_gain(92.0, draws).mean()

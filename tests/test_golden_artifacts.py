@@ -3,7 +3,11 @@
 Each subcommand runs on mk_cfg() through absim.cli.main; the sha256 of each
 file it leaves in its output directory must equal the recorded digest.
 timings.json holds wall times and is left out. As in test_golden_reports,
-the digests bind only under the numpy version they were recorded with.
+the digests bind only under the numpy version they were recorded with, and
+the bytes also depend on the CPU's SIMD dispatch level, by which numpy
+picks its transcendental kernels: they were recorded with AVX-512 (X86_V4)
+dispatch. These files passed with it turned off, but a CPU without it is
+not covered by any check.
 """
 
 import hashlib

@@ -1,11 +1,16 @@
 """report.json bytes pinned at unit-test size, the regression oracle for refactors.
 
-A report's bytes depend on its config, its seed and the numpy version, on
-any Python from 3.10: no report total goes through the built-in sum(),
-which CPython 3.12 made compensated. The goldens are checked again with
-that sum() emulated. Transcendental ufuncs may change between numpy
-releases, so the digests bind only under the numpy version they were
-recorded with; under any other the tests skip and name both versions.
+A report's bytes depend on its config, its seed, the numpy version and
+the CPU's SIMD dispatch level, on any Python from 3.10: no report total
+goes through the built-in sum(), which CPython 3.12 made compensated. The
+goldens are checked again with that sum() emulated. Transcendental ufuncs
+may change between numpy releases, so the digests bind only under the
+numpy version they were recorded with; under any other the tests skip and
+name both versions. numpy also picks those kernels by CPU level: the
+digests were recorded with AVX-512 (X86_V4) dispatch, and with it turned
+off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR") six of these
+tests fail, on the last digit of eval_mean_rate_bps (np.log2 in
+radio.rate_bps); they do not skip.
 """
 
 import hashlib

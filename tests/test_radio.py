@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from absim.channel import link_matrix, sample_fading
 from absim.radio import (LinkState, db_to_linear, dbm_to_watt, evaluate_slot, link_tables,
                          outage_fractions, outage_keys, outage_stats, rate_bps)
-from helpers import brute_force_slot, gathered_loss_slot, interference, mk_cfg, sinr
+from helpers import (brute_force_slot, evaluate_slot_broadcast, gathered_loss_slot, interference,
+                     mk_cfg, sinr)
 
 
 def test_dbm_watt_conversions():
@@ -171,6 +172,65 @@ def test_table_gather_equals_loss_formula_and_brute_force(n_worlds, n_users, m, 
         assert np.allclose(state.tx_power_w[k], p_w, rtol=1e-12, atol=0)
         assert np.allclose(state.interference_w[k], interf, rtol=1e-12, atol=1e-300)
         assert np.allclose(state.sinr[k], snr, rtol=1e-12, atol=0)
+
+
+LINK_FIELDS = ("gains", "tx_power_w", "serving_prev", "assoc", "interference_w", "sinr",
+               "outage")
+
+
+def _assert_link_states_equal(got, want):
+    for name in LINK_FIELDS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("n_worlds", [None, 1, 9, 25])
+def test_slot_chain_equals_broadcast_oracle(n_worlds):
+    # every LinkState field byte for byte, None a 2-D call: fleets with
+    # co-located ABSs (argmax ties), a first slot, a cell that one ABS
+    # serves alone (I exactly +0.0), and fading read through a
+    # non-contiguous view of a (S, block, n_users, n_uav) buffer, as
+    # run_episode passes it
+    cfg = mk_cfg()
+    rng = np.random.default_rng(25 if n_worlds is None else n_worlds)
+    lead = () if n_worlds is None else (n_worlds,)
+    for trial in range(60):
+        n_users, m, n_uav = (int(v) for v in rng.integers((1, 1, 1), (41, 9, 5)))
+        loss = rng.uniform(60.0, 140.0, lead + (n_users, m))
+        fleet = rng.integers(0, m, lead + (n_uav,))
+        alone = trial % 4 == 1 and m > 1
+        if trial % 3 == 0:
+            fleet[..., -1] = fleet[..., 0]              # two ABSs on one centroid
+        if alone:                                       # ABS 0 takes every user
+            loss[..., 0] -= 100.0
+            fleet[..., 0] = 0
+            fleet[..., 1:] = rng.integers(1, m, lead + (n_uav - 1,))
+        buffer = sample_fading(rng, lead + (4, n_users, n_uav))
+        fading = buffer[:, 2] if lead else buffer[2]
+        prev = None if trial % 2 else rng.integers(0, n_uav, lead + (n_users,))
+        tables = link_tables(loss, cfg)
+        got = evaluate_slot(tables, fleet, fading, prev)
+        _assert_link_states_equal(got, evaluate_slot_broadcast(tables, fleet, fading, prev))
+        if alone:
+            assert (got.assoc == 0).all()
+            assert got.interference_w.tobytes() == np.zeros(got.assoc.shape).tobytes()
+
+
+def test_interference_free_cell_is_positive_zero():
+    # ABS 0 serves every user: no power arrives from another cell, and the
+    # sum is +0.0 exactly, not a cancellation residue or a -0.0
+    cfg = mk_cfg()
+    rng = np.random.default_rng(6)
+    loss = rng.uniform(110.0, 140.0, (3, 12, 5))
+    loss[:, :, 4] = 60.0
+    fleet = np.array([[4, 1, 2], [4, 2, 0], [4, 3, 3]])
+    fading = rng.uniform(0.5, 2.0, (3, 12, 3))
+    tables = link_tables(loss, cfg)
+    state = evaluate_slot(tables, fleet, fading, None)
+    assert (state.assoc == 0).all()
+    assert state.interference_w.tobytes() == np.zeros((3, 12)).tobytes()
+    _assert_link_states_equal(state, evaluate_slot_broadcast(tables, fleet, fading, None))
 
 
 def test_first_slot_serves_strongest_large_scale():

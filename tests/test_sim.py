@@ -65,12 +65,24 @@ def test_loss_table_gather_equals_link_matrix(small_world, states):
 
 def test_episode_fading_draw_equals_per_slot_draws():
     cfg = mk_cfg()
-    bulk = sample_fading(rng_stream(7, "fading"),
-                         (cfg.slots_per_episode, cfg.n_users, cfg.n_uav))
+    shape = (cfg.slots_per_episode, cfg.n_users, cfg.n_uav)
+    bulk = sample_fading(rng_stream(7, "fading"), shape)
     rng = rng_stream(7, "fading")
     per_slot = [sample_fading(rng, (cfg.n_users, cfg.n_uav))
                 for _ in range(cfg.slots_per_episode)]
     assert bulk.tobytes() == np.stack(per_slot).tobytes()
+    # the buffer form of run_episode: 5-slot blocks drawn straight into one
+    # row's contiguous part of a (rows, block, n_users, n_uav) buffer
+    into = rng_stream(7, "fading")
+    buffer = np.full((2, 5) + shape[1:], np.nan)
+    blocks = []
+    for t in range(0, cfg.slots_per_episode, 5):
+        n = min(5, cfg.slots_per_episode - t)
+        sample_fading(into, out=buffer[1, :n])
+        blocks.append(buffer[1, :n].copy())
+    assert np.concatenate(blocks).tobytes() == bulk.tobytes()
+    assert np.isnan(buffer[0]).all()
+    assert into.bit_generator.state == rng.bit_generator.state
 
 
 def test_training_episode_draws_its_fading_in_slot_blocks(monkeypatch):
@@ -84,7 +96,7 @@ def test_training_episode_draws_its_fading_in_slot_blocks(monkeypatch):
     m = world.graph.n_centroids
     calls = []
     monkeypatch.setattr(sim, "sample_fading",
-                        lambda rng, size: calls.append(size) or sample_fading(rng, size))
+                        lambda rng, out: calls.append(out.shape) or sample_fading(rng, out=out))
     rng_fading = [rng_stream(s, "fading") for s in (0, 1)]
     run_episode(batch, masked(np.zeros((2, cfg.n_uav, m, m)), batch.adj), cfg.eps0,
                 rng_fading, [rng_stream(s, "egreedy") for s in (0, 1)], learn=True,
