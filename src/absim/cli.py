@@ -20,13 +20,10 @@ import time
 import numpy as np
 
 from .scenario import ConfigError, load_config
-from .sim import (METHODS, build_world, compare_methods, evaluate_policy,
-                  run_dir, sweep_mu, train, write_anneal_trace_csv, write_centroids_csv,
-                  write_compare_learning_curves_csv, write_edges_csv, write_json,
-                  write_learning_curve_csv, write_outage_csv, write_report_json,
-                  write_summary_md, write_sweep_csv, write_timings_json,
-                  write_trajectory_csv)
-from .rl import export_qtables, load_qtables
+from .sim import (METHODS, build_world, compare_methods, evaluate_policy, run_dir, sweep_mu,
+                  train, write_compare_run, write_condense_run, write_json, write_sweep_csv,
+                  write_train_run)
+from .rl import load_qtables
 
 
 def _mu_list(text: str) -> list:
@@ -108,14 +105,8 @@ def cmd_condense(args, cfg) -> int:
     out = _outdir(args, cfg)
     t0 = time.perf_counter()
     world, condense_time = build_world(cfg, args.method)
-    write_centroids_csv(os.path.join(out, "centroids.csv"), world.graph)
-    write_edges_csv(os.path.join(out, "edges.csv"), world.graph)
-    if world.graph.trace is not None:
-        write_anneal_trace_csv(os.path.join(out, "anneal_trace.csv"), world.graph.trace)
-    write_timings_json(os.path.join(out, "timings.json"),
-                       {"condense_s": condense_time,
-                        "total_s": time.perf_counter() - t0})
     graph = world.graph
+    write_condense_run(out, graph, condense_time, time.perf_counter() - t0)
     print(f"method={args.method} n_centroids={graph.n_centroids} "
           f"distortion={graph.distortion:.6g} edges={np.count_nonzero(np.triu(graph.adj, 1))} "
           f"virtual={np.count_nonzero(np.triu(graph.virtual, 1))} out={out}")
@@ -125,17 +116,8 @@ def cmd_condense(args, cfg) -> int:
 def cmd_train(args, cfg) -> int:
     out = _outdir(args, cfg)
     res = train(cfg, args.method)
+    write_train_run(out, res)
     rep = res.report
-    write_centroids_csv(os.path.join(out, "centroids.csv"), res.world.graph)
-    write_edges_csv(os.path.join(out, "edges.csv"), res.world.graph)
-    write_learning_curve_csv(os.path.join(out, "learning_curve.csv"), rep)
-    write_outage_csv(os.path.join(out, "outage.csv"), [rep])
-    write_trajectory_csv(os.path.join(out, "trajectory.csv"), rep)
-    export_qtables(os.path.join(out, "qtable.csv"), res.qtables, res.world.graph)
-    write_timings_json(os.path.join(out, "timings.json"),
-                       {"condense_s": rep.condense_time_s, "rl_s": rep.rl_time_s,
-                        "eval_s": rep.eval_time_s})
-    write_report_json(os.path.join(out, "report.json"), rep)
     print(f"method={args.method} seed={cfg.seed} "
           f"outage: network={rep.eval_outage['network']:.4f} "
           f"priority={rep.eval_outage['priority']:.4f} "
@@ -175,15 +157,7 @@ def cmd_sweep(args, cfg) -> int:
 def cmd_compare(args, cfg) -> int:
     out = _outdir(args, cfg)
     results = compare_methods(cfg, n_seeds=args.seeds)
-    reports = [res.report for m in METHODS for res in results[m]]
-    write_outage_csv(os.path.join(out, "outage.csv"), reports)
-    write_compare_learning_curves_csv(os.path.join(out, "learning_curves.csv"), reports)
-    timings = {m: {str(res.report.seed): {"condense_s": res.report.condense_time_s,
-                                          "rl_s": res.report.rl_time_s,
-                                          "eval_s": res.report.eval_time_s}
-                   for res in results[m]} for m in METHODS}
-    write_timings_json(os.path.join(out, "timings.json"), timings)
-    write_summary_md(os.path.join(out, "summary.md"), reports)
+    write_compare_run(out, results)
     for m in METHODS:
         net = np.mean([r.report.eval_outage["network"] for r in results[m]])
         print(f"{m}: mean network outage over {args.seeds} seed(s) = {net:.4f}")

@@ -289,16 +289,12 @@ def generate_candidates(cfg: ScenarioConfig) -> np.ndarray:
         ys = cfg.y_min + dy * (0.5 + np.arange(s))
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         nodes = np.column_stack([gx.ravel(), gy.ravel()])
-        extra = n0 - s * s
     else:
         nodes = np.empty((0, 2))
-        extra = n0
-    if extra:
-        rand = np.column_stack([
-            rng.uniform(cfg.x_min, cfg.x_max, extra),
-            rng.uniform(cfg.y_min, cfg.y_max, extra),
-        ])
-        nodes = np.vstack([nodes, rand])
+    extra = n0 - len(nodes)     # a zero-size draw leaves the stream where it was
+    rand = np.column_stack([rng.uniform(cfg.x_min, cfg.x_max, extra),
+                            rng.uniform(cfg.y_min, cfg.y_max, extra)])
+    nodes = np.vstack([nodes, rand])
     # exact duplicates would break nearest-centroid bookkeeping downstream.
     # Sorted stably by (x, y), each copy follows the first occurrence of its
     # point, so dup holds every later occurrence, ascending

@@ -20,9 +20,9 @@ outage by class, rate) and the fleet's trajectory. Training keeps only
 the means, as the report's curves; evaluation keeps the means and each
 world's last trajectory.
 
-File outputs are deterministic for a given (config, seed): floats are
-written in shortest round-trip form and wall-clock timings live in a
-separate timings.json.
+File outputs, one writer per command (write_condense_run, write_train_run,
+write_compare_run), are deterministic for a given (config, seed): floats are
+in shortest round-trip form and wall-clock timings live in timings.json.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from .channel import link_matrix, sample_fading, sq_dist
 from .radio import (dbm_to_watt, evaluate_slot, link_tables, outage_fractions, outage_keys,
                     outage_stats, rate_bps)
 from .condense import CondensedGraph, kmeans_condense, qa_condense, snrp_condense
-from .rl import (Exploration, draw_exploration, masked, move_table, reward, select_action,
-                 td_update)
+from .rl import (Exploration, draw_exploration, export_qtables, masked, move_table, reward,
+                 select_action, td_update)
 
 METHODS = ("qa", "kmeans", "snrp")
 
@@ -111,11 +111,9 @@ class Lockstep:
     """
 
     def __init__(self, worlds: list):
-        def shared(c):
-            return {k: v for k, v in c.to_dict().items() if k not in WORLD_FIELDS}
-
         cfg = worlds[0].cfg
-        if any(shared(w.cfg) != shared(cfg) for w in worlds[1:]):
+        if any(dataclasses.replace(w.cfg, **{f: getattr(cfg, f) for f in WORLD_FIELDS}) != cfg
+               for w in worlds[1:]):
             raise ValueError("lockstep worlds may differ only in " + ", ".join(WORLD_FIELDS))
         m = worlds[0].graph.n_centroids
         self.worlds = worlds
@@ -492,13 +490,6 @@ def write_edges_csv(path, graph: CondensedGraph) -> None:
     _write_csv(path, "src,dst,virtual", ((i, j, int(virt)) for i, j, virt in graph.edges))
 
 
-def write_anneal_trace_csv(path, trace: dict) -> None:
-    """qa_condense's trace, one row per temperature step."""
-    cols = (trace[k].tolist() for k in ("temperature", "current", "best", "accepted"))
-    _write_csv(path, "step,temperature,current,best,accepted",
-               ((step,) + row for step, row in enumerate(zip(*cols))))
-
-
 def write_learning_curve_csv(path, report: RunReport) -> None:
     _write_csv(path, "episode,reward,eps", (
         (e, r, float(eps)) for e, (r, eps) in enumerate(zip(report.reward_curve,
@@ -555,3 +546,42 @@ def write_summary_md(path, reports: list) -> None:
               "spread is the population std over seeds.", ""]
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
+
+
+def _timings(rep: RunReport) -> dict:
+    return {"condense_s": rep.condense_time_s, "rl_s": rep.rl_time_s, "eval_s": rep.eval_time_s}
+
+
+def write_condense_run(out, graph: CondensedGraph, condense_s: float, total_s: float) -> None:
+    """The files of `absim condense` in out; the annealing trace for qa only."""
+    write_centroids_csv(os.path.join(out, "centroids.csv"), graph)
+    write_edges_csv(os.path.join(out, "edges.csv"), graph)
+    if graph.trace is not None:
+        cols = (graph.trace[k].tolist() for k in ("temperature", "current", "best", "accepted"))
+        _write_csv(os.path.join(out, "anneal_trace.csv"), "step,temperature,current,best,accepted",
+                   ((step,) + row for step, row in enumerate(zip(*cols))))
+    write_json(os.path.join(out, "timings.json"), {"condense_s": condense_s, "total_s": total_s})
+
+
+def write_train_run(out, res: TrainResult) -> None:
+    """The files of `absim train` in out."""
+    rep, graph = res.report, res.world.graph
+    write_centroids_csv(os.path.join(out, "centroids.csv"), graph)
+    write_edges_csv(os.path.join(out, "edges.csv"), graph)
+    write_learning_curve_csv(os.path.join(out, "learning_curve.csv"), rep)
+    write_outage_csv(os.path.join(out, "outage.csv"), [rep])
+    write_trajectory_csv(os.path.join(out, "trajectory.csv"), rep)
+    export_qtables(os.path.join(out, "qtable.csv"), res.qtables, graph)
+    write_json(os.path.join(out, "timings.json"), _timings(rep))
+    write_report_json(os.path.join(out, "report.json"), rep)
+
+
+def write_compare_run(out, results: dict) -> None:
+    """The files of `absim compare` in out, from compare_methods' results."""
+    reports = [res.report for m in METHODS for res in results[m]]
+    write_outage_csv(os.path.join(out, "outage.csv"), reports)
+    write_compare_learning_curves_csv(os.path.join(out, "learning_curves.csv"), reports)
+    write_json(os.path.join(out, "timings.json"),
+               {m: {str(res.report.seed): _timings(res.report) for res in results[m]}
+                for m in METHODS})
+    write_summary_md(os.path.join(out, "summary.md"), reports)

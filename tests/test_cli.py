@@ -98,6 +98,38 @@ def test_readme_usage_lines_list_each_subcommands_flags():
         assert usage[name] == flags - {"--help"}, name
 
 
+def _readme_artifacts(command: str, method: str | None) -> set:
+    """Files the README's artifact table says `command` writes; a writer
+    entry such as "condense (`qa`)" holds for that method only."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| file | written by | contents |")[1].split("\n\n")[0]
+    files = set()
+    for row in table.strip().splitlines()[1:]:
+        name, writers = (cell.strip() for cell in row.split("|")[1:3])
+        for cmd, only in re.findall(r"(\w+)(?: \(`(\w+)`\))?", writers):
+            if cmd == command and only in ("", method):
+                files.add(name.strip("`"))
+    return files
+
+
+@pytest.mark.parametrize("command,method,extra", [
+    ("condense", "qa", []), ("condense", "kmeans", []), ("train", "qa", []),
+    ("compare", None, ["--seeds", "1"]), ("sweep", "qa", ["--mu", "20"]),
+    ("evaluate", "qa", [])])
+def test_readme_artifact_table_lists_what_each_command_writes(tiny_config, tmp_path, capsys,
+                                                              command, method, extra):
+    args = [command, "--config", tiny_config] + extra
+    if method is not None:
+        args += ["--method", method]
+    if command == "evaluate":
+        assert main(["train", "--config", tiny_config, "--out", str(tmp_path / "train")]) == 0
+        args += ["--qtable", str(tmp_path / "train" / "qtable.csv")]
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == _readme_artifacts(command, method)
+    capsys.readouterr()
+
+
 def test_missing_subcommand_is_argparse_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -114,6 +146,7 @@ def test_condense_writes_graph_files(tiny_config, tmp_path, capsys):
     assert (out / "edges.csv").exists()
     timings = json.loads((out / "timings.json").read_text())
     assert timings["condense_s"] >= 0.0
+    assert timings["total_s"] >= timings["condense_s"]
 
 
 def test_condense_qa_writes_anneal_trace(tiny_config, tmp_path):

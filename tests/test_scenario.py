@@ -190,6 +190,16 @@ def test_grid_candidates_exact_square():
     assert np.allclose(np.diff(xs), dx)
 
 
+@pytest.mark.parametrize("low,high", [(0.0, 1400.0), (-3.0, 1e-322)])
+def test_zero_size_uniform_draw_leaves_the_stream_unchanged(low, high):
+    # the grid path draws its remainder even when it is empty; an exact
+    # square's candidates then depend on this
+    for seed in range(50):
+        rng, fresh = rng_stream(seed, "candidates"), rng_stream(seed, "candidates")
+        assert rng.uniform(low, high, 0).shape == (0,)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+
 def test_grid_candidates_remainder_filled_randomly():
     cfg = mk_cfg(n_candidates=150)
     nodes = generate_candidates(cfg)
