@@ -157,11 +157,11 @@ def cmd_sweep(args, cfg) -> int:
 def cmd_compare(args, cfg) -> int:
     out = _outdir(args, cfg)
     results = compare_methods(cfg, n_seeds=args.seeds)
-    write_compare_run(out, results)
+    names = write_compare_run(out, results)
     for m in METHODS:
         net = np.mean([r.report.eval_outage["network"] for r in results[m]])
         print(f"{m}: mean network outage over {args.seeds} seed(s) = {net:.4f}")
-    print(f"wrote {out}/outage.csv, learning_curves.csv, timings.json, summary.md")
+    print(f"wrote {out}/" + ", ".join(names))
     return 0
 
 

@@ -10,6 +10,7 @@ Training runs any number of worlds (a seed, condenser or reward weight
 each) in lockstep: one slot step advances all of them through tables
 stacked once per row, while each world draws from its own RNG streams,
 so a world's results do not depend on which others it was batched with.
+So a batch of several seeds is split by seed across the usable cores.
 Every row draws its fading SLOT_BLOCK slots at a time, so no array sized to
 a whole episode's fading or SINRs exists. Greedy evaluation also stacks
 several episodes of a world as lockstep rows, each on its own copy of the
@@ -31,6 +32,7 @@ import copy
 import dataclasses
 import json
 import os
+import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -356,11 +358,62 @@ def train_lockstep(jobs: list) -> list:
     and evaluate greedily, all worlds in lockstep; a TrainResult per job.
 
     Jobs that differ only in weights the condenser does not read share one
-    condensation. Each result equals that of
-    training its world alone, except for the wall times: every world
-    reports 1/S of the lockstep learning and evaluation time, and a shared
-    condensation's time in full.
+    condensation, so only jobs of one seed can. Given two or more seeds and
+    usable cores, the jobs split by seed into at most one batch per core,
+    each seed (most jobs first) joining the batch of fewest rows; the first
+    batch runs here, each other one in a forked child (_fork_batch). Each
+    result equals that of training its world alone, except for the wall
+    times: every world reports 1/S of its own batch's learning and
+    evaluation time, and a shared condensation's time in full.
     """
+    seeds = [cfg.seed for cfg, _ in jobs]
+    bins = [[] for _ in range(min(len(set(seeds)), len(os.sched_getaffinity(0))))]
+    for seed in sorted(dict.fromkeys(seeds), key=seeds.count, reverse=True):
+        min(bins, key=len).extend(i for i, s in enumerate(seeds) if s == seed)
+    if len(bins) < 2:
+        return _train_batch(jobs)
+    children, replies = [], []
+    try:
+        for rows in bins[1:]:
+            children.append((rows, *_fork_batch([jobs[i] for i in rows])))
+        results = dict(zip(bins[0], _train_batch([jobs[i] for i in bins[0]])))
+    finally:    # every pipe read to its end before its child is reaped
+        for rows, pid, fd in children:
+            with open(fd, "rb") as fh:
+                replies.append((rows, fh.read(), os.waitpid(pid, 0)[1]))
+    for rows, reply, status in replies:
+        value = pickle.loads(reply) if reply else RuntimeError(
+            f"lockstep worker sent no results (exit status {os.waitstatus_to_exitcode(status)})")
+        if isinstance(value, Exception):
+            raise value
+        results.update((i, dataclasses.replace(res, world=dataclasses.replace(
+            res.world, cfg=jobs[i][0]))) for i, res in zip(rows, value))
+    return [results[i] for i in range(len(jobs))]
+
+
+def _fork_batch(jobs: list) -> tuple:
+    """Fork a child that pipes back _train_batch(jobs), configs left out, or
+    its exception, pickled; (its pid, the pipe's read end)."""
+    fd, wfd = os.pipe()
+    if pid := os.fork():
+        os.close(wfd)
+        return pid, fd
+    try:
+        os.close(fd)    # so that with no reader left, the write fails and does not block
+        try:
+            reply = pickle.dumps([dataclasses.replace(res, world=dataclasses.replace(
+                res.world, cfg=None)) for res in _train_batch(jobs)])
+        except Exception as exc:
+            reply = pickle.dumps(exc)
+        with open(wfd, "wb") as fh:
+            fh.write(reply)
+        os._exit(0)
+    finally:    # a child never returns into the caller's stack
+        os._exit(1)
+
+
+def _train_batch(jobs: list) -> list:
+    """train_lockstep's jobs as one lockstep batch, in this process."""
     if not jobs:
         return []
     for cfg, _ in jobs:     # derived configs (sweep, compare) skip config_from_dict
@@ -576,12 +629,14 @@ def write_train_run(out, res: TrainResult) -> None:
     write_report_json(os.path.join(out, "report.json"), rep)
 
 
-def write_compare_run(out, results: dict) -> None:
-    """The files of `absim compare` in out, from compare_methods' results."""
+def write_compare_run(out, results: dict) -> list:
+    """The files of `absim compare` in out, from compare_methods' results; their names."""
     reports = [res.report for m in METHODS for res in results[m]]
-    write_outage_csv(os.path.join(out, "outage.csv"), reports)
-    write_compare_learning_curves_csv(os.path.join(out, "learning_curves.csv"), reports)
-    write_json(os.path.join(out, "timings.json"),
-               {m: {str(res.report.seed): _timings(res.report) for res in results[m]}
-                for m in METHODS})
-    write_summary_md(os.path.join(out, "summary.md"), reports)
+    names = ["outage.csv", "learning_curves.csv", "timings.json", "summary.md"]
+    outage, curves, timings, summary = (os.path.join(out, name) for name in names)
+    write_outage_csv(outage, reports)
+    write_compare_learning_curves_csv(curves, reports)
+    write_json(timings, {m: {str(res.report.seed): _timings(res.report) for res in results[m]}
+                         for m in METHODS})
+    write_summary_md(summary, reports)
+    return names

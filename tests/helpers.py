@@ -1,9 +1,12 @@
 """Shared test scaffolding: shrunk configs and independent reference paths."""
 
 import builtins
+import contextlib
 import dataclasses
 import inspect
 import math
+import os
+import signal
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -65,6 +68,36 @@ def record_training_paths(monkeypatch) -> list:
 
     monkeypatch.setattr(sim, "run_episode", recording)
     return paths
+
+
+def usable_cores(monkeypatch, n: int) -> None:
+    """Make sim see n usable cores (os.sched_getaffinity). At n = 1
+    train_lockstep runs every batch in this process, so wrappers patched
+    into sim see every call; at n > 1 it splits any batch of several seeds
+    into forked children, whatever the machine has."""
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@contextlib.contextmanager
+def in_parent_only(seconds: int = 60):
+    """Run the block, failing with TimeoutError after `seconds` (SIGALRM,
+    which a forked child does not inherit), so a hung wait fails the test
+    instead of blocking it. A forked child that ever returns into the block
+    exits there with status 70, so it runs none of the caller's code."""
+    pid = os.getpid()
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        if os.getpid() != pid:
+            os._exit(70)
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def brute_force_slot(large_scale_db, fading, prev_assoc, cfg):

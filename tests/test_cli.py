@@ -328,6 +328,14 @@ def test_compare_writes_comparison_artifacts(tiny_config, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_names_exactly_the_files_it_writes(tiny_config, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", tiny_config, "--seeds", "2", "--out", str(out)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith(f"wrote {out}/")
+    assert sorted(last[len(f"wrote {out}/"):].split(", ")) == sorted(p.name for p in out.iterdir())
+
+
 def test_runtime_failure_exits_one(tiny_config, tmp_path, capsys):
     # the output directory is fine, but one artifact's path is a directory
     (tmp_path / "out" / "centroids.csv").mkdir(parents=True)

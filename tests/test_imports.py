@@ -3,7 +3,8 @@ every module-level def or class in src/ has a caller in src/ or perfbench/,
 no module in src/ imports another's underscore name, calls the built-in
 sum() or np.unique, makes a matrix product or computes a planar distance
 other than through channel.sq_dist, importing absim loads neither scipy nor
-scikit-learn, and a training run does not load numpy.ma."""
+scikit-learn, a training run does not load numpy.ma, and a compare that
+forks its workers loads neither multiprocessing nor concurrent.futures."""
 
 import ast
 import os
@@ -235,6 +236,22 @@ def test_training_run_leaves_numpy_ma_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip().splitlines()[-1] == "False"
+
+
+def test_compare_loads_no_process_pool(tmp_path):
+    # a pool's helper threads and modules would add to every benchmark
+    # process's set-up and peak memory: its warm-up runs a 3-seed compare
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text('{"n_users": 20, "n_candidates": 64, "n_centroids": 6, "episodes": 2, '
+                   '"slots_per_episode": 4, "eval_episodes": 1, "anneal_i_max": 40}')
+    probe = ("import sys, absim.cli; "
+             f"absim.cli.main(['compare', '--seeds', '3', '--config', {str(cfg)!r}, "
+             f"'--out', {str(tmp_path)!r}]); "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def test_absim_runs_on_numpy_alone():

@@ -24,7 +24,7 @@ from absim.sim import (AUDIT_KEYS, METHODS, Lockstep, _audit_moves, build_world,
                        write_report_json, write_summary_md, write_sweep_csv,
                        write_timings_json, write_trajectory_csv)
 from absim.scenario import rng_stream
-from helpers import WIDE, flight_distances_norm, mk_cfg, record_training_paths
+from helpers import WIDE, flight_distances_norm, mk_cfg, record_training_paths, usable_cores
 
 
 def test_build_world_wiring():
@@ -282,8 +282,10 @@ def test_training_never_leaves_the_feasible_moves(monkeypatch):
 
 
 def test_sweep_condenses_once_per_distinct_input(monkeypatch):
-    # mu enters neither qa nor kmeans condensation, but snrp's proxy reads it
+    # mu enters neither qa nor kmeans condensation, but snrp's proxy reads
+    # it; one core, so no seed's condensations run in a child, unseen here
     cfg = mk_cfg(episodes=1, slots_per_episode=3, eval_episodes=1)
+    usable_cores(monkeypatch, 1)
     for method, want in (("qa", 2), ("kmeans", 2), ("snrp", 6)):
         calls = []
         real = getattr(sim, f"{method}_condense")
@@ -454,8 +456,10 @@ def _report_bytes(report, tmp_path, name):
 @pytest.mark.parametrize("overrides", [{}, dict(uav_start="random", n_uav=4)],
                          ids=["spread", "random-start-4uav"])
 def test_compare_methods_equals_solo_train(overrides, tmp_path, monkeypatch):
-    # 3 methods x 3 seeds in one lockstep batch, each byte-equal to its solo run
+    # 3 methods x 3 seeds in one lockstep batch, each byte-equal to its solo
+    # run; one core, so the recorded paths are the whole batch's
     cfg = mk_cfg(seed=2, **overrides)
+    usable_cores(monkeypatch, 1)
     paths = record_training_paths(monkeypatch)
     results = compare_methods(cfg, n_seeds=3)
     batch_paths = np.stack(paths)           # (episodes, slots + 1, world, n_uav)
@@ -484,11 +488,17 @@ def test_sweep_mu_equals_solo_train(tmp_path):
             [solo.eval_outage[k] for k in ("priority", "regular", "network")]
 
 
-def test_lockstep_splits_wall_time_evenly():
-    results = train_lockstep([(dataclasses.replace(mk_cfg(), seed=s), "kmeans") for s in range(3)])
-    assert len({r.report.rl_time_s for r in results}) == 1
-    assert len({r.report.eval_time_s for r in results}) == 1
-    assert results[0].report.rl_time_s > 0.0
+def test_lockstep_splits_wall_time_evenly(monkeypatch):
+    # the jobs of a batch split its time evenly: on one core every job, and
+    # with seeds split across cores each seed's jobs, which share a batch
+    jobs = [(dataclasses.replace(mk_cfg(), seed=s), m) for s in range(3) for m in ("kmeans", "qa")]
+    for cores, groups in ((1, [range(6)]), (2, [range(0, 2), range(2, 4), range(4, 6)])):
+        usable_cores(monkeypatch, cores)
+        results = train_lockstep(jobs)
+        for rows in groups:
+            assert len({results[i].report.rl_time_s for i in rows}) == 1
+            assert len({results[i].report.eval_time_s for i in rows}) == 1
+        assert results[0].report.rl_time_s > 0.0
 
 
 def test_lockstep_rejects_worlds_of_different_shape():
